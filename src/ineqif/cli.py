@@ -53,10 +53,7 @@ from .measures import (
     DEFAULT_MEASURE_IDS,
     REGISTRY_VERSION,
     Sample,
-    gini_plugin,
     parse_measure_id,
-    plugin_estimate,
-    qsr_plugin,
 )
 from .numeric import DEFAULT_TOL, Tolerance
 
@@ -92,10 +89,14 @@ def ingest_csv(path: str) -> Sample:
     """Read one income per row; optional single 'income' header row.
 
     Blank lines are ignored; bad rows raise ParseError/NegativeIncome with
-    their 1-based physical row number.
+    their 1-based physical row number. A path that cannot be read as UTF-8
+    text raises InvalidParameter naming it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"cannot read input file {path!r}: {exc}") from exc
     values = []
     seen_content = False
     for row_no, raw in enumerate(lines, start=1):
@@ -292,21 +293,13 @@ def _cmd_measure(cfg: RunConfig) -> int:
     if cfg.input_path is not None:
         sample = ingest_csv(cfg.input_path)
         source = {"input": cfg.input_path, "n": sample.n}
-        for mid in cfg.measure_ids:
-            T = parse_measure_id(mid)
-            if T.kind == "gini":
-                value = gini_plugin(sample, cfg.tol)
-            elif T.kind == "qsr":
-                value = qsr_plugin(sample, cfg.tol)
-            else:
-                value = plugin_estimate(T.spec, sample)
-            rows.append({"measure_id": T.id, "value": value})
+        F = sample.to_distribution()
     else:
         F = cfg.distribution()
         source = {"distribution": F.descriptor()}
-        for mid in cfg.measure_ids:
-            T = parse_measure_id(mid)
-            rows.append({"measure_id": T.id, "value": T.evaluate(F, cfg.tol)})
+    for mid in cfg.measure_ids:
+        T = parse_measure_id(mid)
+        rows.append({"measure_id": T.id, "value": T.evaluate(F, cfg.tol)})
     payload = _payload(cfg, **source, results=rows)
     _emit(cfg, payload, ["measure_id", "value"], rows)
     return EXIT_OK

@@ -1,12 +1,13 @@
 """Influence functions, closed forms and the numerical Gateaux oracle.
 
-Two independent routes exist for every measure: a closed-form influence
-function (the unified quadruple formula, plus the specialized per-family
-forms, plus Gini/QSR) and a numerical Gateaux derivative obtained by
-contaminating the distribution with a point mass and extrapolating the
-difference quotient to eps -> 0. The closed forms are adjudicated against
-the oracle; published variants that disagree are archived in a
-machine-readable variant table rather than silently dropped.
+Two independent routes exist for every measure: one closed-form influence
+function per measure kind (the unified quadruple formula of Theorem 1, the
+Gini and QSR forms, and the mean), and a numerical Gateaux derivative
+obtained by contaminating the distribution with a point mass and
+extrapolating the difference quotient to eps -> 0. The closed forms are
+adjudicated against the oracle; published displays are archived in a
+machine-readable variant table and evaluated as printed, so the ones that
+disagree are kept on record rather than silently dropped.
 """
 from __future__ import annotations
 
@@ -65,164 +66,153 @@ def _check_point(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Unified closed form
+# Closed forms: one kernel per measure kind
 # ---------------------------------------------------------------------------
 
 
-def if_theorem1(spec: TheilLikeSpec, F: Distribution, z: float,
-                tol: Tolerance = DEFAULT_TOL) -> float:
-    """Influence function of a quadruple-family member, unified route.
+def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
+                          tol: Tolerance) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed-form IF of T at F as a vectorized function of z.
 
-    tau'(I) * [ -(h1'(mu) E h(X)/h1(mu)^2 + h2'(mu)) (z - mu)
-                + (h(z) - E h(X))/h1(mu) ]
+    Every moment is computed once, here; the checks on z itself (the
+    domain of h, atoms, quintile boundaries) are the callers'.
 
+    Quadruple family (Theorem 1), with I = E h(X)/h1(mu) - h2(mu):
+      tau'(I) * [ -(h1'(mu) E h(X)/h1(mu)^2 + h2'(mu)) (z - mu)
+                  + (h(z) - E h(X))/h1(mu) ]
     The last numerator is evaluated at the contamination point z (the
     centering step of the derivation fixes this; the oracle confirms).
+
+    Gini:
+      2 * [ R(F) - C(F, F(z))/mu + (z/mu) (R(F) - (1 - F(z))) ]
+    The published variant omits the 1/mu normalizer on the cumulative
+    functional; the normalized form is the one the Gateaux oracle (and
+    scale invariance of the Gini) confirms.
+
+    Quintile share ratio, piecewise over A1=[0, Q(0.2)],
+    A2=(Q(0.2), Q(0.8)), A3=[Q(0.8), uep]:
+      I1 = [-z N + 0.2 Q(0.8) D + 0.8 Q(0.2) N] / D^2
+      I2 = [0.2 Q(0.8) D - 0.2 Q(0.2) N] / D^2
+      I3 = [z D - 0.8 Q(0.8) D - 0.2 Q(0.2) N] / D^2
+    The returned function carries (Q(0.2), Q(0.8)) as `kinks`.
+
+    Mean: z - mu.
     """
-    z = _check_point(z)
-    _check_point_domain(spec, z)
+    if T.id == "mean":
+        mu = F.mean()
+        return lambda xs: np.asarray(xs, dtype=float) - mu
+    if T.kind == "gini":
+        mu = F.mean()
+        r = lorenz_area(F, tol)
+
+        def gini_if(xs):
+            xs = np.asarray(xs, dtype=float)
+            partial = np.array([F.partial_mean(x, tol) for x in xs.ravel()])
+            partial = partial.reshape(xs.shape)
+            fz = np.asarray(F.cdf(xs), dtype=float)
+            return 2.0 * (r - partial / mu + (xs / mu) * (r - (1.0 - fz)))
+
+        return gini_if
+    if T.kind == "qsr":
+        n, d, q1, q4 = qsr_components(F, tol)
+        if d <= 0.0:
+            raise DegenerateDenominator(
+                f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
+            )
+        d2 = d * d
+
+        def qsr_if(xs):
+            xs = np.asarray(xs, dtype=float)
+            low = (-xs * n + 0.2 * q4 * d + 0.8 * q1 * n) / d2
+            mid = (0.2 * q4 * d - 0.2 * q1 * n) / d2
+            high = (xs * d - 0.8 * q4 * d - 0.2 * q1 * n) / d2
+            return np.where(xs <= q1, low, np.where(xs < q4, mid, high))
+
+        qsr_if.kinks = (q1, q4)
+        return qsr_if
+
+    spec = T.spec
     fv = functional_value(spec, F, tol)
     mu, eh = fv.mu, fv.eh
     h1_mu = float(spec.h1(mu))
     slope = float(spec.tau_prime(fv.index_arg))
     lever = -(float(spec.h1_prime(mu)) * eh / (h1_mu * h1_mu)
               + float(spec.h2_prime(mu)))
-    return slope * (lever * (z - mu) + (float(spec.h(z)) - eh) / h1_mu)
+
+    def theil_like_if(xs):
+        xs = np.asarray(xs, dtype=float)
+        return slope * (lever * (xs - mu) + (spec.h(xs) - eh) / h1_mu)
+
+    return theil_like_if
 
 
-def _check_point_domain(spec: TheilLikeSpec, z: float) -> None:
-    needs_positive = spec.requires_positive or spec.family in (
-        "mld", "champernowne"
-    )
-    if needs_positive and z <= 0.0:
+def _kernel_or_error(T: MeasureFunctional, F: Distribution, tol: Tolerance):
+    """The kernel, or the exception that building it raised: a moment
+    failure is reported at a point only after that point's own checks."""
+    try:
+        return _closed_if_vectorized(T, F, tol)
+    except Exception as exc:
+        return exc
+
+
+def _check_closed_point(T: MeasureFunctional, F: Distribution, z: float,
+                        kernel, kink_tol: float = 1e-9) -> float:
+    """The checks on z, in a fixed order: z >= 0, the domain of h and an
+    atom of F under the Gini come before any moment failure (a kernel that
+    could not be built); the QSR's quintile boundaries, where its IF jumps,
+    come after its quintile moments."""
+    z = _check_point(z)
+    if T.spec is not None and T.spec.requires_positive and z <= 0.0:
         raise DomainError(
-            f"h(z) undefined at z={z} for {spec.measure_id} "
+            f"h(z) undefined at z={z} for {T.spec.measure_id} "
             "(log or negative power)"
         )
-
-
-# ---------------------------------------------------------------------------
-# Specialized closed forms (same algebra, simplified per family)
-# ---------------------------------------------------------------------------
-
-
-def _moments(F: Distribution, spec: TheilLikeSpec, tol: Tolerance):
-    fv = functional_value(spec, F, tol)
-    return fv.mu, fv.eh
-
-
-def _if_ge(spec, F, z, tol):
-    a = spec.param
-    mu, ma = _moments(F, spec, tol)
-    return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
-            - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0)))
-
-
-def _if_theil(spec, F, z, tol):
-    mu, nu = _moments(F, spec, tol)  # nu = E X log X
-    zlogz = z * math.log(z) if z > 0 else 0.0
-    return (zlogz - nu) / mu - (nu + mu) * (z - mu) / (mu * mu)
-
-
-def _if_mld(spec, F, z, tol):
-    mu, eh = _moments(F, spec, tol)  # eh = E[-log X]
-    nu0 = -eh
-    return (z - mu) / mu - (math.log(z) - nu0)
-
-
-def _if_atkinson(spec, F, z, tol):
-    b = spec.param
-    mu, mb = _moments(F, spec, tol)  # mb = E X^b
-    return (mb ** (1.0 / b) * (z - mu) / (mu * mu)
-            - mb ** (1.0 / b - 1.0) * (z ** b - mb) / (b * mu))
-
-
-def _if_champernowne(spec, F, z, tol):
-    mu, nu0 = _moments(F, spec, tol)  # nu0 = E log X
-    geo = math.exp(nu0)
-    return (geo / mu) * ((z - mu) / mu - (math.log(z) - nu0))
-
-
-def _if_kolm(spec, F, z, tol):
-    a = spec.param
-    mu, k = _moments(F, spec, tol)  # k = E exp(-a X)
-    return (z - mu) + (math.exp(-a * z) - k) / (a * k)
-
-
-_SPECIAL = {
-    "generalized_entropy": _if_ge,
-    "theil": _if_theil,
-    "mld": _if_mld,
-    "atkinson": _if_atkinson,
-    "champernowne": _if_champernowne,
-    "kolm": _if_kolm,
-}
-
-
-def if_special(measure_id: str, F: Distribution, z: float,
-               tol: Tolerance = DEFAULT_TOL) -> float:
-    """Normative closed-form influence function for a measure id.
-
-    For quadruple-family members this is the simplified per-family algebra
-    (numerically identical to the unified route); Gini and QSR use their
-    oracle-adjudicated closed forms.
-    """
-    z = _check_point(z)
-    T = parse_measure_id(measure_id) if isinstance(measure_id, str) else measure_id
-    if T.kind == "gini":
-        return if_gini(F, z, tol)
+    if T.kind == "gini" and F.mass(z) > 0.0:
+        raise KinkPoint(f"Gini IF evaluated on an atom of F at z={z}")
+    if isinstance(kernel, Exception):
+        raise kernel
     if T.kind == "qsr":
-        return if_qsr(F, z, tol)
-    spec = T.spec
-    _check_point_domain(spec, z)
-    return _SPECIAL[spec.family](spec, F, z, tol)
+        q1, q4 = kernel.kinks
+        for q in (q1, q4):
+            if abs(z - q) <= kink_tol * max(1.0, abs(q)):
+                raise KinkPoint(
+                    f"z={z} sits on a quintile boundary (Q in {{{q1}, {q4}}})"
+                )
+    return z
+
+
+def _closed_if_at(T: MeasureFunctional, F: Distribution, z: float,
+                  tol: Tolerance, kink_tol: float = 1e-9) -> float:
+    kernel = _kernel_or_error(T, F, tol)
+    z = _check_closed_point(T, F, z, kernel, kink_tol)
+    return float(kernel(z))
+
+
+def if_special(measure_id, F: Distribution, z: float,
+               tol: Tolerance = DEFAULT_TOL) -> float:
+    """Normative closed-form influence function of a measure id (or a
+    MeasureFunctional) at one point z; see `_closed_if_vectorized`."""
+    T = parse_measure_id(measure_id) if isinstance(measure_id, str) else measure_id
+    return _closed_if_at(T, F, z, tol)
+
+
+def if_theorem1(spec: TheilLikeSpec, F: Distribution, z: float,
+                tol: Tolerance = DEFAULT_TOL) -> float:
+    """Influence function of a quadruple-family member (Theorem 1)."""
+    return if_special(MeasureFunctional(spec.measure_id, "theil_like", spec),
+                      F, z, tol)
 
 
 def if_gini(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Gini influence function.
-
-    2 * [ R(F) - C(F, F(z))/mu + (z/mu) (R(F) - (1 - F(z))) ]
-
-    The published variant omits the 1/mu normalizer on the cumulative
-    functional; the normalized form is the one the Gateaux oracle (and
-    scale invariance of the Gini) confirms.
-    """
-    z = _check_point(z)
-    if F.mass(z) > 0.0:
-        raise KinkPoint(f"Gini IF evaluated on an atom of F at z={z}")
-    mu = F.mean()
-    r = lorenz_area(F, tol)
-    partial = F.partial_mean(z, tol)
-    fz = float(F.cdf(z))
-    return 2.0 * (r - partial / mu + (z / mu) * (r - (1.0 - fz)))
+    """Gini influence function; KinkPoint on an atom of F."""
+    return if_special("gini", F, z, tol)
 
 
 def if_qsr(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL,
            kink_tol: float = 1e-9) -> float:
-    """Quintile-share-ratio influence function (piecewise over quintiles).
-
-    Pieces over A1=[0, Q(0.2)], A2=(Q(0.2), Q(0.8)), A3=(Q(0.8), uep]:
-      I1 = [-z N + 0.2 Q(0.8) D + 0.8 Q(0.2) N] / D^2
-      I2 = [0.2 Q(0.8) D - 0.2 Q(0.2) N] / D^2
-      I3 = [z D - 0.8 Q(0.8) D - 0.2 Q(0.2) N] / D^2
-    """
-    z = _check_point(z)
-    n, d, q1, q4 = qsr_components(F, tol)
-    if d <= 0.0:
-        raise DegenerateDenominator(
-            f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
-        )
-    for q in (q1, q4):
-        if abs(z - q) <= kink_tol * max(1.0, abs(q)):
-            raise KinkPoint(
-                f"z={z} sits on a quintile boundary (Q in {{{q1}, {q4}}})"
-            )
-    d2 = d * d
-    if z < q1:
-        return (-z * n + 0.2 * q4 * d + 0.8 * q1 * n) / d2
-    if z < q4:
-        return (0.2 * q4 * d - 0.2 * q1 * n) / d2
-    return (z * d - 0.8 * q4 * d - 0.2 * q1 * n) / d2
+    """Quintile-share-ratio influence function; KinkPoint within kink_tol
+    (relative) of a quintile boundary."""
+    return _closed_if_at(parse_measure_id("qsr"), F, z, tol, kink_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,54 +243,6 @@ def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
 # ---------------------------------------------------------------------------
 
 
-def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
-                          tol: Tolerance) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized closed-form IF with all moments precomputed."""
-    if T.id == "mean":
-        mu = F.mean()
-        return lambda xs: np.asarray(xs, dtype=float) - mu
-    if T.kind == "gini":
-        mu = F.mean()
-        r = lorenz_area(F, tol)
-
-        def gini_if(xs):
-            xs = np.asarray(xs, dtype=float)
-            partial = np.array([F.partial_mean(x, tol) for x in xs.ravel()])
-            partial = partial.reshape(xs.shape)
-            fz = np.asarray(F.cdf(xs), dtype=float)
-            return 2.0 * (r - partial / mu + (xs / mu) * (r - (1.0 - fz)))
-
-        return gini_if
-    if T.kind == "qsr":
-        n, d, q1, q4 = qsr_components(F, tol)
-        if d <= 0.0:
-            raise DegenerateDenominator("bottom-quintile income mass vanishes")
-        d2 = d * d
-
-        def qsr_if(xs):
-            xs = np.asarray(xs, dtype=float)
-            low = (-xs * n + 0.2 * q4 * d + 0.8 * q1 * n) / d2
-            mid = (0.2 * q4 * d - 0.2 * q1 * n) / d2
-            high = (xs * d - 0.8 * q4 * d - 0.2 * q1 * n) / d2
-            return np.where(xs <= q1, low, np.where(xs < q4, mid, high))
-
-        return qsr_if
-
-    spec = T.spec
-    fv = functional_value(spec, F, tol)
-    mu, eh = fv.mu, fv.eh
-    h1_mu = float(spec.h1(mu))
-    slope = float(spec.tau_prime(fv.index_arg))
-    lever = -(float(spec.h1_prime(mu)) * eh / (h1_mu * h1_mu)
-              + float(spec.h2_prime(mu)))
-
-    def theil_like_if(xs):
-        xs = np.asarray(xs, dtype=float)
-        return slope * (lever * (xs - mu) + (spec.h(xs) - eh) / h1_mu)
-
-    return theil_like_if
-
-
 def asymptotic_variance(T: MeasureFunctional, F: Distribution,
                         tol: Tolerance = DEFAULT_TOL) -> float:
     """sigma^2 = integral of IF(x)^2 dF(x), atoms included exactly.
@@ -313,13 +255,9 @@ def asymptotic_variance(T: MeasureFunctional, F: Distribution,
     square = lambda xs: np.asarray(if_fn(xs), dtype=float) ** 2
 
     if T.kind == "qsr" and not F.atoms():
-        _, _, q1, q4 = qsr_components(F, tol)
-        pieces = [(F.lep, q1), (q1, q4), (q4, F.uep)]
-        total = 0.0
-        for a, b in pieces:
-            if a < b:
-                total += integrate(lambda x: square(x) * F.pdf(x), a, b, tol)
-        return total
+        q1, q4 = if_fn.kinks
+        return sum(integrate(lambda x: square(x) * F.pdf(x), a, b, tol)
+                   for a, b in ((F.lep, q1), (q1, q4), (q4, F.uep)) if a < b)
     return F.expect(square, tol)
 
 
@@ -361,9 +299,12 @@ def if_curve(measure_id: str, F: Distribution, grid: Sequence[float],
     oracle_err = np.full(zs.shape, np.nan) if with_oracle else None
     point_errors = []
 
+    kernel = _kernel_or_error(T, F, tol)
+    valid = []
     for i, z in enumerate(zs):
         try:
-            closed[i] = if_special(T, F, float(z), tol)
+            z = _check_closed_point(T, F, z, kernel)
+            valid.append(i)
         except Exception as exc:  # recorded, not fatal
             point_errors.append((i, f"closed: {exc}"))
         if with_oracle:
@@ -373,6 +314,8 @@ def if_curve(measure_id: str, F: Distribution, grid: Sequence[float],
                 oracle_err[i] = est.error
             except Exception as exc:
                 point_errors.append((i, f"oracle: {exc}"))
+    if valid:
+        closed[valid] = kernel(zs[valid])
 
     if with_oracle:
         both = np.isfinite(closed) & np.isfinite(oracle)
@@ -442,10 +385,6 @@ class PrintedVariant:
     evaluate: Callable  # (F, z, tol, spec) -> float
 
 
-def _moment(F, key, fn, tol):
-    return F.expect(fn, tol, key=key)
-
-
 def _v_mld_s2(F, z, tol, spec):
     mu = F.mean()
     nu0 = -F.expect(spec.h, tol, key=spec.h_key)
@@ -455,7 +394,7 @@ def _v_mld_s2(F, z, tol, spec):
 def _v_theil_s2(F, z, tol, spec):
     mu = F.mean()
     nu = F.expect(spec.h, tol, key=spec.h_key)  # E X log X
-    nu0 = _moment(F, "log", lambda s: np.log(np.asarray(s, float)), tol)
+    nu0 = F.expect(lambda s: np.log(np.asarray(s, float)), tol, key="log")
     zlogz = z * math.log(z) if z > 0 else 0.0
     return (zlogz - nu) / mu - (mu + nu0) / (mu * mu)
 
@@ -493,11 +432,41 @@ def _v_gini_appendix(F, z, tol, spec):
     return 2.0 * (r - partial + (z / mu) * (r - (1.0 - fz)))
 
 
-def _v_normative(measure_id):
-    def evaluate(F, z, tol, spec):
-        return if_special(measure_id, F, z, tol)
+def _v_mld_appendix(F, z, tol, spec):
+    mu = F.mean()
+    # E log X through the MLD moment E[-log X], sharing its cache entry
+    nu = -F.expect(lambda s: -np.log(np.asarray(s, float)), tol,
+                   key="neglog")
+    return -(math.log(z) - nu) + (z - mu) / mu
 
-    return evaluate
+
+def _v_theil_appendix(F, z, tol, spec):
+    mu = F.mean()
+    nu = F.expect(spec.h, tol, key=spec.h_key)  # E X log X
+    zlogz = z * math.log(z) if z > 0 else 0.0
+    return (zlogz - nu) / mu - (nu + mu) * (z - mu) / (mu * mu)
+
+
+def _v_ge_appendix(F, z, tol, spec):
+    a = spec.param
+    mu = F.mean()
+    ma = F.expect(spec.h, tol, key=spec.h_key)
+    return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
+            - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0)))
+
+
+def _v_atkinson_appendix(F, z, tol, spec):
+    b = spec.param  # the display's 1 - e
+    mu = F.mean()
+    mb = F.expect(spec.h, tol, key=spec.h_key)  # the display's nu = E X^b
+    return (-mb ** (1.0 / b - 1.0) * (z ** b - mb) / (b * mu)
+            + mb ** (1.0 / b) * (z - mu) / (mu * mu))
+
+
+def _v_champernowne_s2(F, z, tol, spec):
+    mu = F.mean()
+    nu0 = F.expect(spec.h, tol, key=spec.h_key)  # E log X
+    return (math.exp(nu0) / mu) * ((z - mu) / mu - (math.log(z) - nu0))
 
 
 _VARIANTS = {
@@ -515,7 +484,7 @@ _VARIANTS = {
             "-[log z - nu] + mu^-1 [z - mu]",
             "same",
             "matches the unified formula",
-            _v_normative("mld"),
+            _v_mld_appendix,
         ),
     ),
     "theil": (
@@ -531,7 +500,7 @@ _VARIANTS = {
             "(1/mu)[z log z - nu] - (nu + mu)/mu^2 [z - mu]",
             "same",
             "matches the unified formula",
-            _v_normative("theil"),
+            _v_theil_appendix,
         ),
     ),
     "generalized_entropy": (
@@ -549,7 +518,7 @@ _VARIANTS = {
             "same",
             "carries the leading 1/(a(a-1)mu^a) coefficient; adjudicated "
             "against the oracle (see the coefficient comparison driver)",
-            None,
+            _v_ge_appendix,
         ),
     ),
     "atkinson": (
@@ -566,7 +535,7 @@ _VARIANTS = {
             "-nu^(1/(1-e)-1)/((1-e)mu) (z^(1-e) - nu) + nu^(1/(1-e))/mu^2 (z - mu)",
             "same under b = 1 - e",
             "matches the unified formula under the exponent reparameterization",
-            None,
+            _v_atkinson_appendix,
         ),
     ),
     "champernowne": (
@@ -575,7 +544,7 @@ _VARIANTS = {
             "(exp(E log X)/mu)((z - mu)/mu - (log z - E log X))",
             "same",
             "matches the unified formula",
-            None,
+            _v_champernowne_s2,
         ),
     ),
     "kolm": (
@@ -605,7 +574,7 @@ _VARIANTS = {
             "each piece a single fraction over D^2; A3 upper endpoint read "
             "as uep(F)",
             "bracket-normalized reading matches the oracle",
-            None,
+            lambda F, z, tol, spec: if_qsr(F, z, tol),
         ),
     ),
 }
@@ -614,18 +583,8 @@ _VARIANTS = {
 def printed_variants(measure_id: str) -> tuple:
     """Archived published displays for a measure, normative form alongside."""
     T = parse_measure_id(measure_id)
-    family = {"gini": "gini", "qsr": "qsr"}.get(
-        T.kind, T.spec.family if T.spec else None
-    )
-    variants = _VARIANTS.get(family, ())
-    fixed = []
-    for v in variants:
-        if v.evaluate is None:
-            v = PrintedVariant(v.family, v.source, v.matches_normative,
-                               v.printed_form, v.normative_form, v.note,
-                               _v_normative(T.id))
-        fixed.append(v)
-    return tuple(fixed)
+    family = T.spec.family if T.spec else T.kind
+    return _VARIANTS.get(family, ())
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,11 @@ class FunctionalValue:
 def functional_value(spec: TheilLikeSpec, F: Distribution,
                      tol: Tolerance = DEFAULT_TOL) -> FunctionalValue:
     """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu))."""
+    if spec.requires_positive and F.mass(0.0) > 0:
+        raise DomainError(
+            f"{spec.measure_id} is undefined at income 0 (h uses log or a "
+            "negative power)"
+        )
     mu = F.mean()
     try:
         eh = F.expect(spec.h, tol, key=spec.h_key)
@@ -319,11 +324,6 @@ def plugin_estimate(spec: TheilLikeSpec, s: Sample) -> float:
 
     Identical code path to functional_value at the empirical distribution.
     """
-    if spec.requires_positive and s.values[0] <= 0.0:
-        raise DomainError(
-            f"{spec.measure_id} is undefined at income 0 (h uses log or a "
-            "negative power)"
-        )
     return functional_value(spec, s.to_distribution()).value
 
 

@@ -158,6 +158,20 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "MomentDiverges"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_input_exits_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "incomes.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"income\n\xff\xfe1\n")
+        rc = main(["measure", "--id", "theil", "--input", str(path),
+                   "--format", "json"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert str(path) in error["message"]
+
     def test_ingest_errors_exit_one(self, tmp_path):
         bad = write(tmp_path, "neg.csv", "1\n-2\n")
         assert main(["measure", "--id", "theil", "--input", bad]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ineqif import (
+    DEFAULT_MEASURE_IDS,
     Dirac,
     asymptotic_variance,
     default_grid,
@@ -24,6 +25,7 @@ from ineqif import (
     printed_variants,
     scaled,
 )
+from ineqif.cli import parse_distribution
 from ineqif.errors import DomainError, InvalidParameter, KinkPoint, MomentDiverges
 from ineqif.numeric import DEFAULT_TOL
 
@@ -60,12 +62,19 @@ class TestTheorem1:
     @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
                                            "pareto:3,1", "lognormal:0,0.5"])
     def test_equals_specialized_form(self, mid, spec_name, fleet):
+        # every printed display flagged as matching the normative form,
+        # evaluated as printed, equals the Theorem-1 kernel
         F = fleet[spec_name]
         T = parse_measure_id(mid)
-        for z in default_grid(F, mid)[::5]:
-            a = if_theorem1(T.spec, F, float(z))
-            b = if_special(T, F, float(z))
-            assert a == pytest.approx(b, rel=1e-11, abs=1e-13)
+        rows = [v for v in printed_variants(mid) if v.matches_normative]
+        # no printed Kolm display matches the normative form
+        assert rows or T.spec.family == "kolm"
+        for v in rows:
+            for z in default_grid(F, mid)[::5]:
+                printed = v.evaluate(F, float(z), DEFAULT_TOL, T.spec)
+                normative = if_special(T, F, float(z))
+                assert printed == pytest.approx(
+                    normative, rel=1e-11, abs=1e-13), v.source
 
     def test_domain_error_at_zero_for_log_families(self):
         F = make_distribution("exp", 1.0)
@@ -237,6 +246,27 @@ class TestIFCurve:
         assert curve.point_errors[0][0] == 1
         assert np.isnan(curve.closed_form[1])
         assert np.isfinite(curve.closed_form[2])
+
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS + ("ge:0.5",))
+    @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
+                                           "pareto:3,1", "lognormal:0,0.5",
+                                           "sm:2,1,3"])
+    def test_vectorized_curve_equals_scalar_route(self, mid, spec_name):
+        F = parse_distribution(spec_name)
+        curve = if_curve(mid, F, default_grid(F, mid))
+        assert not curve.point_errors
+        for z, value in zip(curve.grid, curve.closed_form):
+            assert value == pytest.approx(if_special(mid, F, float(z)),
+                                          rel=1e-13)
+
+    def test_point_checks_precede_moment_errors(self):
+        F = make_distribution("uniform", 0.0, 1.0)
+        curve = if_curve("ge:-1", F, [0.0, 0.5, 1.0])
+        assert [i for i, _ in curve.point_errors] == [0, 1, 2]
+        assert "h(z) undefined" in curve.point_errors[0][1]
+        for _, message in curve.point_errors[1:]:
+            assert "fails to converge" in message
+        assert np.all(np.isnan(curve.closed_form))
 
     def test_default_grid_avoids_qsr_kinks(self, fleet):
         for F in fleet.values():

@@ -6,6 +6,7 @@ from scipy.integrate import trapezoid
 
 from ineqif import (
     Dirac,
+    Empirical,
     Sample,
     atkinson_from_appendix_parameter,
     functional_value,
@@ -111,6 +112,14 @@ class TestPluginEstimate:
     def test_mld_rejects_zero_income(self):
         with pytest.raises(DomainError):
             plugin_estimate(make_spec("mld"), Sample.from_values([0.0, 1.0]))
+
+    @pytest.mark.parametrize("mid", ["mld", "champernowne", "ge:-1",
+                                     "atkinson:-0.5"])
+    def test_evaluate_rejects_zero_income(self, mid):
+        # every plug-in route (evaluate, sensitivity curves, Monte Carlo
+        # replicas) meets the guard, not plugin_estimate alone
+        with pytest.raises(DomainError):
+            parse_measure_id(mid).evaluate(Empirical.from_values([0.0, 1.0, 2.0]))
 
     def test_theil_accepts_zero_income(self):
         # 0 log 0 extends continuously to 0
