@@ -16,6 +16,7 @@ from ineqif import (
     scaled,
     translated,
 )
+from ineqif.cli import parse_distribution
 from ineqif.errors import InvalidParameter
 
 PARAMETRIC = [
@@ -137,6 +138,48 @@ class TestQuantile:
         oracle = xs[np.asarray(C.cdf(xs)) >= 0.75][0]
         assert oracle == pytest.approx(2.0, abs=1e-4)
         assert quantile(C, 0.75) == pytest.approx(2.0, abs=1e-9)
+
+    @staticmethod
+    def _check_exact_inverse(G, z, invert_cdf):
+        jump_lo = float(G.cdf(z)) - G.mass(z)
+        jump_hi = float(G.cdf(z))
+        ps = np.concatenate([np.linspace(1e-3, 0.999, 999), [0.2, 0.8],
+                             [0.5 * (jump_lo + jump_hi)]])
+        q = np.array([G.quantile(float(p)) for p in ps])
+        # on the atom's jump the inverse is z itself, not a bisection bracket
+        on_jump = (ps > jump_lo + 1e-12) & (ps < jump_hi - 1e-12)
+        assert np.any(on_jump)
+        assert np.all(q[on_jump] == z)
+        continuous = np.array([G.mass(v) == 0.0 for v in q])
+        assert np.max(np.abs(G.cdf(q[continuous]) - ps[continuous]),
+                      initial=0.0) <= 1e-12
+        # Within 1e-9 of an atom's jump edge the brute force cannot arbitrate:
+        # the float cdf there is flat below ulp(p)/density, and Empirical
+        # reads n*p with a 1e-9 allowance.
+        edges = [e for a, m in G.atoms()
+                 for e in (float(G.cdf(a)) - m, float(G.cdf(a)))]
+        away = np.all(np.abs(ps[:, None] - np.array(edges)) > 1e-9, axis=1)
+        np.testing.assert_allclose(q[away], invert_cdf(G, ps[away]),
+                                   rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("zlevel", [None, 0.06, 0.5, 0.9])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-2, 0.5, 1.0])
+    @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "pareto:3,1",
+                                      "lognormal:0,0.5", "sm:2,1,3"])
+    def test_contaminated_quantile_is_exact_inverse(self, spec, eps, zlevel,
+                                                    invert_cdf):
+        F = parse_distribution(spec)
+        z = 0.0 if zlevel is None else F.quantile(zlevel)
+        self._check_exact_inverse(contaminate(F, eps, z), z, invert_cdf)
+
+    @pytest.mark.parametrize("case", ["atom_on_base_atom", "nested"])
+    def test_contaminated_quantile_inverts_atomic_bases(self, case, invert_cdf):
+        if case == "atom_on_base_atom":
+            G = contaminate(Empirical.from_values([1, 2, 2, 5]), 0.3, 2.0)
+        else:
+            U = make_distribution("uniform", 0, 1)
+            G = contaminate(contaminate(U, 0.2, 0.5), 0.1, 0.25)
+        self._check_exact_inverse(G, G.z, invert_cdf)
 
     def test_out_of_range(self):
         F = make_distribution("exp", 1.0)

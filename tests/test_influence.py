@@ -259,6 +259,16 @@ class TestIFCurve:
             assert value == pytest.approx(if_special(mid, F, float(z)),
                                           rel=1e-13)
 
+    @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
+                                           "pareto:3,1", "lognormal:0,0.5",
+                                           "sm:2,1,3"])
+    def test_qsr_oracle_tracks_closed_form(self, spec_name):
+        # exact mixture quintiles keep quantization out of the QSR quotients
+        F = parse_distribution(spec_name)
+        curve = if_curve("qsr", F, default_grid(F, "qsr"), with_oracle=True)
+        assert not curve.point_errors
+        assert curve.max_abs_discrepancy <= 4e-8
+
     def test_point_checks_precede_moment_errors(self):
         F = make_distribution("uniform", 0.0, 1.0)
         curve = if_curve("ge:-1", F, [0.0, 0.5, 1.0])
