@@ -62,7 +62,6 @@ from .measures import (
     REGISTRY_VERSION,
     FunctionalValue,
     MeasureFunctional,
-    Sample,
     TheilLikeSpec,
     atkinson_from_appendix_parameter,
     functional_value,

@@ -19,11 +19,11 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, make_distribution
+from .distributions import Distribution, Empirical, make_distribution
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -52,7 +52,6 @@ from .influence import (
 from .measures import (
     DEFAULT_MEASURE_IDS,
     REGISTRY_VERSION,
-    Sample,
     parse_measure_id,
 )
 from .numeric import DEFAULT_TOL, Tolerance
@@ -85,40 +84,51 @@ VERIFY_REL_SLACK = 1e-4
 # ---------------------------------------------------------------------------
 
 
-def ingest_csv(path: str) -> Sample:
+def ingest_csv(path: str) -> Empirical:
     """Read one income per row; optional single 'income' header row.
 
-    Blank lines are ignored; bad rows raise ParseError/NegativeIncome with
-    their 1-based physical row number. A path that cannot be read as UTF-8
-    text raises InvalidParameter naming it.
+    Blank lines and a leading UTF-8 byte-order mark are ignored; bad rows
+    raise ParseError/NegativeIncome with their 1-based physical row number.
+    A path that cannot be read as UTF-8 text raises InvalidParameter
+    naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            # universal newlines: the same lines, numbered alike, as readlines
+            lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameter(f"cannot read input file {path!r}: {exc}") from exc
-    values = []
-    seen_content = False
+    first = next((i for i, raw in enumerate(lines) if raw.strip()), None)
+    if first is not None and lines[first].strip().lower() == "income":
+        lines[first] = ""  # blanked, not removed: row numbers still count it
+    # strip first: str.strip removes \x1c-\x1f, which float() rejects
+    try:
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines))),
+                             dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values) & (values >= 0)):
+        _raise_first_bad_row(lines)
+    if not values.size:
+        raise EmptyInput(f"no data rows in {path}")
+    return Empirical.from_values(values)
+
+
+def _raise_first_bad_row(lines) -> NoReturn:
+    """Raise the error of the first row the one-pass parse rejected."""
     for row_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if not seen_content and line.lower() == "income":
-            seen_content = True
-            continue
-        seen_content = True
         try:
             value = float(line)
         except ValueError:
             raise ParseError(row_no, line) from None
-        if math.isnan(value) or math.isinf(value):
+        if not math.isfinite(value):
             raise ParseError(row_no, line)
         if value < 0:
             raise NegativeIncome(row_no, value)
-        values.append(value)
-    if not values:
-        raise EmptyInput(f"no data rows in {path}")
-    return Sample.from_values(values)
+    raise AssertionError("no bad row among lines the one-pass parse rejected")
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -291,9 +301,8 @@ def _payload(cfg: RunConfig, **extra) -> dict:
 def _cmd_measure(cfg: RunConfig) -> int:
     rows = []
     if cfg.input_path is not None:
-        sample = ingest_csv(cfg.input_path)
-        source = {"input": cfg.input_path, "n": sample.n}
-        F = sample.to_distribution()
+        F = ingest_csv(cfg.input_path)
+        source = {"input": cfg.input_path, "n": F.n}
     else:
         F = cfg.distribution()
         source = {"distribution": F.descriptor()}

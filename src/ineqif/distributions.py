@@ -373,11 +373,12 @@ class SinghMaddala(Distribution):
             return 0.0
         if p == 1.0:
             return math.inf
-        return self.b * ((1.0 - p) ** (-1.0 / self.q) - 1.0) ** (1.0 / self.a)
+        # (1-p)^(-1/q) - 1 without the cancellation at small p
+        return self.b * math.expm1(-math.log1p(-p) / self.q) ** (1.0 / self.a)
 
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
-        return self.b * ((1.0 - ps) ** (-1.0 / self.q) - 1.0) ** (1.0 / self.a)
+        return self.b * np.expm1(-np.log1p(-ps) / self.q) ** (1.0 / self.a)
 
     def _mean(self):
         return self.b * math.exp(
@@ -517,7 +518,9 @@ class Empirical(Distribution):
     """Right-continuous step cdf with jumps 1/n at the sorted observations.
 
     The quantile is the left-continuous generalized inverse: the order
-    statistic at index ceil(n*p).
+    statistic at index ceil(n*p). This is also the validated sample type:
+    `from_values` sorts raw incomes, and drawn or ingested samples are
+    Empirical.
     """
 
     values: np.ndarray
@@ -543,6 +546,14 @@ class Empirical(Distribution):
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    def with_inserted(self, z: float) -> "Empirical":
+        """The sample with one more observation z, kept sorted."""
+        z = float(z)
+        if z < 0:
+            raise InvalidParameter(f"inserted observation must be >= 0, got {z}")
+        idx = int(np.searchsorted(self.values, z))
+        return Empirical(np.insert(self.values, idx, z))
 
     @property
     def lep(self):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, Empirical
 from .errors import DomainError, InvalidParameter
 from .influence import asymptotic_variance
-from .measures import MeasureFunctional, Sample
+from .measures import MeasureFunctional
 from .numeric import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -43,19 +43,19 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
 
-def draw_sample(F: Distribution, n: int, rng: RngStream) -> Sample:
-    """n inverse-transform variates from F, sorted into a Sample."""
+def draw_sample(F: Distribution, n: int, rng: RngStream) -> Empirical:
+    """n inverse-transform variates from F, sorted into an Empirical."""
     if n < 1:
         raise InvalidParameter(f"sample size must be >= 1, got {n}")
     u = rng.generator().random(int(n))
-    return Sample.from_values(F.quantile_array(u))
+    return Empirical.from_values(F.quantile_array(u))
 
 
-def sensitivity_curve(T: MeasureFunctional, s: Sample, z: float,
+def sensitivity_curve(T: MeasureFunctional, s: Empirical, z: float,
                       tol: Tolerance = DEFAULT_TOL) -> float:
     """Finite-sample influence analogue: (n+1) * (T(s + {z}) - T(s))."""
-    t_n = T.evaluate(s.to_distribution(), tol)
-    t_n1 = T.evaluate(s.with_inserted(z).to_distribution(), tol)
+    t_n = T.evaluate(s, tol)
+    t_n1 = T.evaluate(s.with_inserted(z), tol)
     return (s.n + 1) * (t_n1 - t_n)
 
 
@@ -115,7 +115,7 @@ def mc_variance_study(T: MeasureFunctional, F: Distribution, n: int,
         while True:
             sample = draw_sample(F, n, rng.substream(offset))
             try:
-                values[r] = T.evaluate(sample.to_distribution(), tol)
+                values[r] = T.evaluate(sample, tol)
                 break
             except DomainError:
                 rejections += 1

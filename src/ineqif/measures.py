@@ -32,7 +32,6 @@ __all__ = [
     "FunctionalValue",
     "functional_value",
     "plugin_estimate",
-    "Sample",
     "gini",
     "lorenz_area",
     "qsr",
@@ -274,57 +273,12 @@ def functional_value(spec: TheilLikeSpec, F: Distribution,
                            index_arg=index_arg, mu=mu, eh=eh)
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Sorted, validated, non-negative income observations."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise InvalidParameter("sample needs at least one observation")
-        if np.any(np.diff(vals) < 0):
-            raise InvalidParameter("sample values must be sorted")
-        if np.any(vals < 0):
-            raise InvalidParameter("sample values must be non-negative")
-        if not vals.mean() > 0:
-            raise InvalidParameter("sample mean must be positive")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_values(cls, values) -> "Sample":
-        return cls(np.sort(np.asarray(values, dtype=float)))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def to_distribution(self) -> Empirical:
-        dist = getattr(self, "_dist", None)
-        if dist is None:
-            dist = Empirical(self.values)
-            object.__setattr__(self, "_dist", dist)
-        return dist
-
-    def with_inserted(self, z: float) -> "Sample":
-        z = float(z)
-        if z < 0:
-            raise InvalidParameter(f"inserted observation must be >= 0, got {z}")
-        idx = int(np.searchsorted(self.values, z))
-        return Sample(np.insert(self.values, idx, z))
-
-
-def plugin_estimate(spec: TheilLikeSpec, s: Sample) -> float:
+def plugin_estimate(spec: TheilLikeSpec, s: Empirical) -> float:
     """tau((1/h1(mu_n)) * (1/n) sum h(X_j) - h2(mu_n)).
 
     Identical code path to functional_value at the empirical distribution.
     """
-    return functional_value(spec, s.to_distribution()).value
+    return functional_value(spec, s).value
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +301,9 @@ def _gini_first_moment(F: Distribution, tol: Tolerance) -> float:
                 + eps * (1.0 - eps) * (upper + z * base.mid_cdf(z))
                 + 0.5 * eps * eps * z)
     if isinstance(F, Empirical):
-        return float(np.mean(F.values * F.mid_cdf_array(F.values)))
+        # on sorted data sum_i x_(i) Fmid(x_(i)) = sum_i x_(i) (i - 1/2)/n,
+        # ties included: a tie block shares the mean of its ranks
+        return float(np.dot(F.values, np.arange(0.5, F.n))) / F.n ** 2
     if isinstance(F, Dirac):
         return 0.5 * F.location
     return F.expect(lambda x: np.asarray(x, dtype=float) * F.cdf(x), tol,
@@ -364,8 +320,8 @@ def gini(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
     return 2.0 * _gini_first_moment(F, tol) / F.mean() - 1.0
 
 
-def gini_plugin(s: Sample, tol: Tolerance = DEFAULT_TOL) -> float:
-    return gini(s.to_distribution(), tol)
+def gini_plugin(s: Empirical, tol: Tolerance = DEFAULT_TOL) -> float:
+    return gini(s, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +349,8 @@ def qsr(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
     return n / d
 
 
-def qsr_plugin(s: Sample, tol: Tolerance = DEFAULT_TOL) -> float:
-    return qsr(s.to_distribution(), tol)
+def qsr_plugin(s: Empirical, tol: Tolerance = DEFAULT_TOL) -> float:
+    return qsr(s, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import json
+import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ineqif.cli as cli
-from ineqif import Sample, make_spec, plugin_estimate
+from ineqif import Empirical, make_spec, plugin_estimate
 from ineqif.cli import ingest_csv, main, parse_distribution, parse_grid
 from ineqif.errors import (
     EmptyInput,
+    IneqError,
     InvalidParameter,
     NegativeIncome,
     ParseError,
@@ -50,6 +54,79 @@ class TestIngest:
             ingest_csv(write(tmp_path, "f.csv", "income\n\n"))
 
 
+def _ingest_by_line_loop(path):
+    """The line-by-line reader that the one-pass ingest replaced, kept as its
+    oracle (opened with utf-8-sig, the one intended change)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
+    values = []
+    seen_content = False
+    for row_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not seen_content and line.lower() == "income":
+            seen_content = True
+            continue
+        seen_content = True
+        try:
+            value = float(line)
+        except ValueError:
+            raise ParseError(row_no, line) from None
+        if math.isnan(value) or math.isinf(value):
+            raise ParseError(row_no, line)
+        if value < 0:
+            raise NegativeIncome(row_no, value)
+        values.append(value)
+    if not values:
+        raise EmptyInput(f"no data rows in {path}")
+    return Empirical.from_values(values)
+
+
+def _outcome(reader, path):
+    try:
+        return ("values", reader(path).values.tobytes())
+    except IneqError as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None))
+
+
+# pieces of rows: number syntax, float's extra grammar (underscores, Unicode
+# digits and spaces), non-finite and negative values, NUL, the characters
+# str.strip removes but float does not (\x1c-\x1f), two numbers on a row
+_PIECES = st.sampled_from([
+    "0", "1", "7", "42", "-", "+", ".", "e", "E", "_", "nan", "NaN", "inf",
+    "-inf", "1e400", "-0", "١٢", "٣", "\u2003", "\xa0", "\x1c", "\x1f",
+    "\x85", "\x00", " ", "\t", "1 2", "income",
+])
+_ROW = st.one_of(
+    st.floats(min_value=-1.0, max_value=1e12).map(repr),
+    st.integers(min_value=0, max_value=10 ** 6).map(str),
+    st.lists(_PIECES, max_size=4).map("".join),
+    st.sampled_from(["", " ", "\t ", "income", "INCOME", " Income "]),
+)
+_FILE_TEXT = st.lists(
+    st.tuples(_ROW, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8,
+).map(lambda rows: "".join(row + end for row, end in rows))
+
+
+class TestIngestMatchesLineLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_FILE_TEXT)
+    # rows numpy.loadtxt gets wrong: two numbers on the one row, float's
+    # underscore and Unicode-digit grammar; then the strip/float split
+    @example(text="1 2\n")
+    @example(text="income\n1_000\n")
+    @example(text="١٢\n")
+    @example(text="\x1c1.5\x1c\n2\n")
+    @example(text="income\n\n3\r\n-0\rINCOME\n")
+    @example(text="\ufeffincome\n1.5\n2\n")
+    def test_same_values_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(ingest_csv, str(path)) == \
+            _outcome(_ingest_by_line_loop, str(path))
+
+
 class TestParsers:
     def test_distribution_grammar(self):
         assert parse_distribution("exp:1").descriptor() == "exp:1"
@@ -77,6 +154,14 @@ class TestMeasureCommand:
         assert main(["measure", "--id", "theil", "--input", data]) == 0
         assert capsys.readouterr().out == "measure_id,value\ntheil,0.130812\n"
 
+    def test_utf8_bom_is_skipped(self, tmp_path, capsys):
+        # the byte-order mark spreadsheet programs put before the header
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffincome\n1.5\n2\n".encode("utf-8"))
+        assert main(["measure", "--id", "theil", "--input", str(path),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+
     def test_gini_exponential_six_decimals(self, capsys):
         assert main(["measure", "--id", "gini", "--dist", "exp:1"]) == 0
         assert capsys.readouterr().out == "measure_id,value\ngini,0.500000\n"
@@ -89,7 +174,7 @@ class TestMeasureCommand:
         payload = json.loads(capsys.readouterr().out)
         cli_value = payload["results"][0]["value"]
         lib_value = plugin_estimate(make_spec("theil"),
-                                    Sample.from_values([2.0, 0.5, 7.0, 1.0]))
+                                    Empirical.from_values([2.0, 0.5, 7.0, 1.0]))
         assert cli_value == lib_value  # bit-exact through the JSON round trip
 
     def test_plugin_route_for_gini_and_qsr(self, tmp_path, capsys):
@@ -99,7 +184,7 @@ class TestMeasureCommand:
                      "--format", "json"]) == 0
         results = {r["measure_id"]: r["value"]
                    for r in json.loads(capsys.readouterr().out)["results"]}
-        sample = Sample.from_values(range(1, 11))
+        sample = Empirical.from_values(range(1, 11))
         from ineqif import gini_plugin, qsr_plugin
 
         assert results["gini"] == gini_plugin(sample)

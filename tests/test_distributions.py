@@ -195,6 +195,19 @@ class TestQuantile:
         err = max(abs(float(F.cdf(F.quantile(p))) - p) for p in ps)
         assert err <= 1e-9
 
+    @pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-12, 1e-17])
+    def test_singh_maddala_quantile_at_small_p(self, p):
+        # b ((1-p)^(-1/q) - 1)^(1/a) cancels to about p/q; 50 digits leave
+        # over 30 after the cancellation
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            one = mpmath.mpf(1)
+            exact = float(((one - mpmath.mpf(p)) ** (-one / 3) - 1) ** (one / 2))
+        F = make_distribution("sm", 2.0, 1.0, 3.0)
+        assert F.quantile(p) == pytest.approx(exact, rel=1e-13, abs=0)
+        assert F.quantile_array([p])[0] == pytest.approx(exact, rel=1e-13,
+                                                          abs=0)
+
     @pytest.mark.parametrize("kind,params", PARAMETRIC)
     def test_quantile_array_matches_scalar(self, kind, params):
         F = make_distribution(kind, *params)

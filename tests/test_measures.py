@@ -7,7 +7,6 @@ from scipy.integrate import trapezoid
 from ineqif import (
     Dirac,
     Empirical,
-    Sample,
     atkinson_from_appendix_parameter,
     functional_value,
     gini,
@@ -26,6 +25,8 @@ from ineqif import (
     translated,
 )
 from ineqif.errors import DegenerateDenominator, DomainError, InvalidParameter, MomentDiverges
+from ineqif.measures import _gini_first_moment
+from ineqif.numeric import DEFAULT_TOL
 
 ALL_FAMILY_IDS = ("ge:2", "ge:0.5", "theil", "mld", "atkinson:0.5",
                   "champernowne", "kolm:1")
@@ -98,12 +99,12 @@ class TestFunctionalValue:
 class TestPluginEstimate:
     @pytest.mark.parametrize("mid", ALL_FAMILY_IDS)
     def test_zero_on_constant_sample(self, mid):
-        s = Sample.from_values([3.0] * 5)
+        s = Empirical.from_values([3.0] * 5)
         assert abs(plugin_estimate(parse_measure_id(mid).spec, s)) <= 1e-12
 
     def test_two_point_theil_hand_value(self):
         # hand evaluation: mu=2, mean h = 3 log 3 / 2, minus log 2
-        s = Sample.from_values([1.0, 3.0])
+        s = Empirical.from_values([1.0, 3.0])
         oracle = (3.0 * math.log(3.0) / 2.0) / 2.0 - math.log(2.0)
         assert oracle == pytest.approx(0.130812, abs=1e-6)
         assert plugin_estimate(make_spec("theil"), s) == pytest.approx(
@@ -111,7 +112,7 @@ class TestPluginEstimate:
 
     def test_mld_rejects_zero_income(self):
         with pytest.raises(DomainError):
-            plugin_estimate(make_spec("mld"), Sample.from_values([0.0, 1.0]))
+            plugin_estimate(make_spec("mld"), Empirical.from_values([0.0, 1.0]))
 
     @pytest.mark.parametrize("mid", ["mld", "champernowne", "ge:-1",
                                      "atkinson:-0.5"])
@@ -124,15 +125,15 @@ class TestPluginEstimate:
     def test_theil_accepts_zero_income(self):
         # 0 log 0 extends continuously to 0
         value = plugin_estimate(make_spec("theil"),
-                                Sample.from_values([0.0, 1.0, 2.0]))
+                                Empirical.from_values([0.0, 1.0, 2.0]))
         assert math.isfinite(value)
 
     @pytest.mark.parametrize("mid", ALL_FAMILY_IDS)
     def test_plugin_equals_functional_at_empirical(self, mid):
-        s = Sample.from_values([0.5, 1.0, 2.5, 4.0, 8.0])
+        s = Empirical.from_values([0.5, 1.0, 2.5, 4.0, 8.0])
         spec = parse_measure_id(mid).spec
         assert plugin_estimate(spec, s) == functional_value(
-            spec, s.to_distribution()).value
+            spec, s).value
 
 
 class TestGini:
@@ -207,7 +208,7 @@ class TestQsr:
 
 class TestPlugins:
     def test_gini_plugin_constant(self):
-        assert gini_plugin(Sample.from_values([4.0] * 4)) == pytest.approx(
+        assert gini_plugin(Empirical.from_values([4.0] * 4)) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_gini_plugin_two_points_polygon_oracle(self):
@@ -219,8 +220,22 @@ class TestPlugins:
         r_polygon = float(trapezoid(lor, ps))
         oracle = 1.0 - 2.0 * r_polygon
         assert oracle == pytest.approx(0.25, abs=1e-4)
-        assert gini_plugin(Sample.from_values([1.0, 3.0])) == pytest.approx(
+        assert gini_plugin(Empirical.from_values([1.0, 3.0])) == pytest.approx(
             0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        [2.0, 2.0],
+        [1.0, 3.0, 3.0, 3.0, 7.0],
+        np.random.default_rng(1000).integers(0, 4, size=1000).tolist(),
+    ], ids=["n1", "n2", "n5", "n1000"])
+    def test_empirical_first_moment_equals_mid_cdf_route(self, values):
+        # sum_i x_(i) (i - 1/2) / n^2 against the definition mean(x Fmid(x))
+        # on tie-heavy integer incomes
+        E = Empirical.from_values(values)
+        reference = float(np.mean(E.values * E.mid_cdf_array(E.values)))
+        assert _gini_first_moment(E, DEFAULT_TOL) == pytest.approx(
+            reference, rel=1e-13)
 
     def test_qsr_plugin_brute_force_oracle(self):
         # brute-force empirical integrals under the ceil(np) quantile:
@@ -232,7 +247,7 @@ class TestPlugins:
         d_mass = xs[xs <= q1].sum() / 10.0
         oracle = n_mass / d_mass
         assert oracle == pytest.approx(19.0 / 3.0, abs=1e-12)
-        assert qsr_plugin(Sample.from_values(xs)) == pytest.approx(
+        assert qsr_plugin(Empirical.from_values(xs)) == pytest.approx(
             oracle, abs=1e-12)
 
 
@@ -286,14 +301,16 @@ class TestRegistry:
 
 class TestSample:
     def test_sorts_and_validates(self):
-        s = Sample.from_values([3.0, 1.0, 2.0])
+        s = Empirical.from_values([3.0, 1.0, 2.0])
         assert list(s.values) == [1.0, 2.0, 3.0]
         assert s.n == 3
         with pytest.raises(InvalidParameter):
-            Sample.from_values([-1.0, 2.0])
+            Empirical.from_values([-1.0, 2.0])
         with pytest.raises(InvalidParameter):
-            Sample.from_values([])
+            Empirical.from_values([])
 
     def test_insert_keeps_order(self):
-        s = Sample.from_values([1.0, 3.0]).with_inserted(2.0)
+        s = Empirical.from_values([1.0, 3.0]).with_inserted(2.0)
         assert list(s.values) == [1.0, 2.0, 3.0]
+        with pytest.raises(InvalidParameter):
+            s.with_inserted(-1.0)
