@@ -20,11 +20,7 @@ from .distributions import (
     SinghMaddala,
     Uniform,
     contaminate,
-    cumulative_functional,
-    expect,
-    lorenz,
     make_distribution,
-    quantile,
     scaled,
     translated,
 )
@@ -45,11 +41,10 @@ from .errors import (
 from .estimation import MCReport, RngStream, draw_sample, mc_variance_study, sensitivity_curve
 from .influence import (
     IFCurve,
+    PrintedVariant,
     asymptotic_variance,
     default_grid,
     gateaux_if,
-    ge_if_with_coefficient,
-    ge_if_without_coefficient,
     if_curve,
     if_gini,
     if_qsr,
@@ -66,15 +61,12 @@ from .measures import (
     atkinson_from_appendix_parameter,
     functional_value,
     gini,
-    gini_plugin,
     lorenz_area,
     make_spec,
     mean_functional,
     parse_measure_id,
-    plugin_estimate,
     qsr,
     qsr_components,
-    qsr_plugin,
 )
 from .numeric import (
     DEFAULT_DERIVATIVE_STEPS,

@@ -43,8 +43,6 @@ from .influence import (
     asymptotic_variance,
     default_grid,
     gateaux_if,
-    ge_if_with_coefficient,
-    ge_if_without_coefficient,
     if_curve,
     if_special,
     printed_variants,
@@ -52,6 +50,7 @@ from .influence import (
 from .measures import (
     DEFAULT_MEASURE_IDS,
     REGISTRY_VERSION,
+    MeasureFunctional,
     parse_measure_id,
 )
 from .numeric import DEFAULT_TOL, Tolerance
@@ -169,17 +168,20 @@ def parse_grid(spec: str) -> np.ndarray:
     raise InvalidParameter(f"grid spacing must be log or lin, got {spacing!r}")
 
 
-def _expand_ids(raw: Optional[str], single: Optional[str]) -> list[str]:
+def _expand_ids(raw: Optional[str],
+                single: Optional[str]) -> list[MeasureFunctional]:
+    """Parse the --ids/--id list once, into the measures the run uses."""
     token = raw if raw is not None else single
     if token is None:
         raise InvalidParameter("a measure id is required (--id/--ids)")
     token = token.strip()
     if token.lower() == "all":
-        return list(DEFAULT_MEASURE_IDS)
-    ids = [t.strip() for t in token.split(",") if t.strip()]
+        ids = DEFAULT_MEASURE_IDS
+    else:
+        ids = [t.strip() for t in token.split(",") if t.strip()]
     if not ids:
         raise InvalidParameter("empty measure id list")
-    return [parse_measure_id(t).id for t in ids]
+    return [parse_measure_id(t) for t in ids]
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ class RunConfig:
     """Validated run description shared by the subcommand handlers."""
 
     command: str
-    measure_ids: tuple
+    measures: tuple  # of MeasureFunctional
     dist: Optional[str]
     input_path: Optional[str]
     grid: Optional[str]
@@ -306,8 +308,7 @@ def _cmd_measure(cfg: RunConfig) -> int:
     else:
         F = cfg.distribution()
         source = {"distribution": F.descriptor()}
-    for mid in cfg.measure_ids:
-        T = parse_measure_id(mid)
+    for T in cfg.measures:
         rows.append({"measure_id": T.id, "value": T.evaluate(F, cfg.tol)})
     payload = _payload(cfg, **source, results=rows)
     _emit(cfg, payload, ["measure_id", "value"], rows)
@@ -316,9 +317,9 @@ def _cmd_measure(cfg: RunConfig) -> int:
 
 def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
     F = cfg.distribution()
-    mid = cfg.measure_ids[0]
-    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, mid)
-    curve = if_curve(mid, F, grid, with_oracle=with_oracle, tol=cfg.tol)
+    T = cfg.measures[0]
+    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
+    curve = if_curve(T, F, grid, with_oracle=with_oracle, tol=cfg.tol)
     rows = []
     for i, z in enumerate(curve.grid):
         closed = float(curve.closed_form[i])
@@ -347,8 +348,7 @@ def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
 def _cmd_variance(cfg: RunConfig) -> int:
     F = cfg.distribution()
     rows = []
-    for mid in cfg.measure_ids:
-        T = parse_measure_id(mid)
+    for T in cfg.measures:
         rows.append({"measure_id": T.id,
                      "sigma2": asymptotic_variance(T, F, cfg.tol)})
     payload = _payload(cfg, distribution=F.descriptor(), results=rows)
@@ -364,9 +364,8 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
     F = cfg.distribution()
     rows = []
     any_normative_fail = False
-    for mid in cfg.measure_ids:
-        T = parse_measure_id(mid)
-        grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T.id)
+    for T in cfg.measures:
+        grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
         # oracle values once per grid point, shared by all formula variants
         oracle: dict[float, float] = {}
         skip_reason = None
@@ -384,7 +383,7 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
             skip_reason = "no oracle-evaluable grid points"
         sources = [("theorem1", True, None,
                     lambda Fd, z, tol, spec, _T=T: if_special(_T, Fd, z, tol))]
-        for variant in printed_variants(T.id):
+        for variant in printed_variants(T):
             sources.append((variant.source, False, variant.note,
                             variant.evaluate))
         spec = T.spec
@@ -432,7 +431,7 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
 
 def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
     F = cfg.distribution()
-    T = parse_measure_id(cfg.measure_ids[0])
+    T = cfg.measures[0]
     report = mc_variance_study(T, F, n, reps, RngStream(cfg.seed), cfg.tol)
     row = report.to_dict()
     payload = _payload(cfg, **row)
@@ -444,17 +443,20 @@ def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
 
 
 def _cmd_compare_ge(cfg: RunConfig, alpha: float, abs_tol: float) -> int:
+    """Per-point view of the GE theorem1 and without_coefficient rows."""
     F = cfg.distribution()
-    mid = f"ge:{alpha:g}"
-    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, mid)
+    T = parse_measure_id(f"ge:{alpha!r}")
+    without = next(v for v in printed_variants(T)
+                   if v.source == "without_coefficient")
+    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
     rows = []
     with_ok = True
     without_max_excess = 0.0
     for z in grid:
         z = float(z)
-        with_c = ge_if_with_coefficient(alpha, F, z, cfg.tol)
-        without_c = ge_if_without_coefficient(alpha, F, z, cfg.tol)
-        oracle = gateaux_if(parse_measure_id(mid), F, z, tol=cfg.tol).value
+        with_c = if_special(T, F, z, cfg.tol)
+        without_c = without.evaluate(F, z, cfg.tol, T.spec)
+        oracle = gateaux_if(T, F, z, tol=cfg.tol).value
         tol_z = _verify_tolerance(abs_tol, with_c)
         err_with = abs(with_c - oracle)
         err_without = abs(without_c - oracle)
@@ -550,13 +552,13 @@ def _make_config(args) -> RunConfig:
     else:
         tol = DEFAULT_TOL
     needs_ids = args.command not in ("compare-ge",)
-    ids = tuple(_expand_ids(getattr(args, "ids", None),
-                            getattr(args, "id", None))) if needs_ids else ()
-    if args.command in ("if-curve", "mc-study") and len(ids) != 1:
+    measures = tuple(_expand_ids(getattr(args, "ids", None),
+                                 getattr(args, "id", None))) if needs_ids else ()
+    if args.command in ("if-curve", "mc-study") and len(measures) != 1:
         raise InvalidParameter(f"{args.command} takes exactly one --id")
     return RunConfig(
         command=args.command,
-        measure_ids=ids,
+        measures=measures,
         dist=args.dist,
         input_path=getattr(args, "input", None),
         grid=args.grid,

@@ -35,10 +35,6 @@ __all__ = [
     "Contaminated",
     "make_distribution",
     "contaminate",
-    "expect",
-    "quantile",
-    "lorenz",
-    "cumulative_functional",
     "scaled",
     "translated",
 ]
@@ -533,11 +529,16 @@ class Empirical(Distribution):
             raise InvalidParameter("empirical distribution needs n >= 1 observations")
         if np.any(np.diff(vals) < 0):
             raise InvalidParameter("empirical observations must be sorted")
-        if np.any(vals < 0):
+        # sorted, so the ends bound the values; the mean is NaN iff one is
+        if vals[0] < 0:
             raise InvalidParameter("empirical observations must be non-negative")
-        if not vals.mean() > 0:
+        mean = float(vals.mean())
+        if math.isnan(mean) or vals[-1] == math.inf:
+            raise InvalidParameter("empirical observations must be finite")
+        if not mean > 0:
             raise InvalidParameter("empirical mean must be positive")
         object.__setattr__(self, "values", vals)
+        self._cache["mean"] = mean
 
     @classmethod
     def from_values(cls, values) -> "Empirical":
@@ -776,24 +777,6 @@ def make_distribution(kind: str, *params: float) -> Distribution:
 def contaminate(base: Distribution, epsilon: float, z: float) -> Contaminated:
     """Return the mixture (1-eps)*base + eps*Dirac(z)."""
     return Contaminated(base, float(epsilon), float(z))
-
-
-def expect(F: Distribution, g: Callable, tol: Tolerance = DEFAULT_TOL,
-           key=None) -> float:
-    return F.expect(g, tol, key=key)
-
-
-def quantile(F: Distribution, p: float) -> float:
-    return F.quantile(p)
-
-
-def lorenz(F: Distribution, p: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    return F.lorenz(p, tol)
-
-
-def cumulative_functional(F: Distribution, p: float,
-                          tol: Tolerance = DEFAULT_TOL) -> float:
-    return F.cumulative_functional(p, tol)
 
 
 def scaled(F: Distribution, c: float) -> Distribution:

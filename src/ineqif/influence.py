@@ -53,8 +53,6 @@ __all__ = [
     "default_grid",
     "PrintedVariant",
     "printed_variants",
-    "ge_if_with_coefficient",
-    "ge_if_without_coefficient",
 ]
 
 
@@ -156,11 +154,12 @@ def _kernel_or_error(T: MeasureFunctional, F: Distribution, tol: Tolerance):
 
 
 def _check_closed_point(T: MeasureFunctional, F: Distribution, z: float,
-                        kernel, kink_tol: float = 1e-9) -> float:
+                        kernel) -> float:
     """The checks on z, in a fixed order: z >= 0, the domain of h and an
     atom of F under the Gini come before any moment failure (a kernel that
     could not be built); the QSR's quintile boundaries, where its IF jumps,
-    come after its quintile moments."""
+    come after its quintile moments. A point within 1e-9 (relative) of a
+    boundary counts as on it."""
     z = _check_point(z)
     if T.spec is not None and T.spec.requires_positive and z <= 0.0:
         raise DomainError(
@@ -174,26 +173,20 @@ def _check_closed_point(T: MeasureFunctional, F: Distribution, z: float,
     if T.kind == "qsr":
         q1, q4 = kernel.kinks
         for q in (q1, q4):
-            if abs(z - q) <= kink_tol * max(1.0, abs(q)):
+            if abs(z - q) <= 1e-9 * max(1.0, abs(q)):
                 raise KinkPoint(
                     f"z={z} sits on a quintile boundary (Q in {{{q1}, {q4}}})"
                 )
     return z
 
 
-def _closed_if_at(T: MeasureFunctional, F: Distribution, z: float,
-                  tol: Tolerance, kink_tol: float = 1e-9) -> float:
-    kernel = _kernel_or_error(T, F, tol)
-    z = _check_closed_point(T, F, z, kernel, kink_tol)
-    return float(kernel(z))
-
-
 def if_special(measure_id, F: Distribution, z: float,
                tol: Tolerance = DEFAULT_TOL) -> float:
     """Normative closed-form influence function of a measure id (or a
     MeasureFunctional) at one point z; see `_closed_if_vectorized`."""
-    T = parse_measure_id(measure_id) if isinstance(measure_id, str) else measure_id
-    return _closed_if_at(T, F, z, tol)
+    T = parse_measure_id(measure_id)
+    kernel = _kernel_or_error(T, F, tol)
+    return float(kernel(_check_closed_point(T, F, z, kernel)))
 
 
 def if_theorem1(spec: TheilLikeSpec, F: Distribution, z: float,
@@ -208,11 +201,10 @@ def if_gini(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     return if_special("gini", F, z, tol)
 
 
-def if_qsr(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL,
-           kink_tol: float = 1e-9) -> float:
-    """Quintile-share-ratio influence function; KinkPoint within kink_tol
-    (relative) of a quintile boundary."""
-    return _closed_if_at(parse_measure_id("qsr"), F, z, tol, kink_tol)
+def if_qsr(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Quintile-share-ratio influence function; KinkPoint on a quintile
+    boundary."""
+    return if_special("qsr", F, z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +272,11 @@ class IFCurve:
     max_abs_discrepancy: float
 
 
-def if_curve(measure_id: str, F: Distribution, grid: Sequence[float],
+def if_curve(measure_id, F: Distribution, grid: Sequence[float],
              with_oracle: bool = False, tol: Tolerance = DEFAULT_TOL,
              schedule: Sequence[float] = DEFAULT_DERIVATIVE_STEPS) -> IFCurve:
-    """Evaluate the closed-form IF (and optionally the oracle) on a grid.
+    """Evaluate the closed-form IF (and optionally the oracle) on a grid,
+    for a measure id or a MeasureFunctional.
 
     Per-point failures are recorded in the curve instead of aborting it.
     """
@@ -336,7 +329,7 @@ def if_curve(measure_id: str, F: Distribution, grid: Sequence[float],
     )
 
 
-def default_grid(F: Distribution, measure_id: str, count: int = 20) -> np.ndarray:
+def default_grid(F: Distribution, measure_id, count: int = 20) -> np.ndarray:
     """Default z grid: log-spaced between Q(0.01) and Q(0.99).
 
     For the QSR the grid is built from probability levels kept clear of the
@@ -344,7 +337,7 @@ def default_grid(F: Distribution, measure_id: str, count: int = 20) -> np.ndarra
     """
     if count < 1:
         raise InvalidParameter(f"grid count must be >= 1, got {count}")
-    T = parse_measure_id(measure_id) if isinstance(measure_id, str) else measure_id
+    T = parse_measure_id(measure_id)
     if T.kind == "qsr":
         n_outer = max(count // 4, 1)
         n_mid = max(count - 2 * n_outer, 1)
@@ -377,7 +370,7 @@ class PrintedVariant:
     """
 
     family: str
-    source: str  # "section2_printed" | "appendix_printed"
+    source: str  # "section2_printed" | "appendix_printed" | "without_coefficient"
     matches_normative: bool
     printed_form: str
     normative_form: str
@@ -455,6 +448,13 @@ def _v_ge_appendix(F, z, tol, spec):
             - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0)))
 
 
+def _v_ge_without_coefficient(F, z, tol, spec):
+    a = spec.param
+    mu = F.mean()
+    ma = F.expect(spec.h, tol, key=spec.h_key)
+    return (z ** a - ma) - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0))
+
+
 def _v_atkinson_appendix(F, z, tol, spec):
     b = spec.param  # the display's 1 - e
     mu = F.mean()
@@ -520,6 +520,14 @@ _VARIANTS = {
             "against the oracle (see the coefficient comparison driver)",
             _v_ge_appendix,
         ),
+        PrintedVariant(
+            "generalized_entropy", "without_coefficient", False,
+            "(z^a - m_a) - m_a (z - mu)/((a-1) mu^(a+1))",
+            "(z^a - m_a)/(a(a-1)mu^a) - m_a (z - mu)/((a-1) mu^(a+1))",
+            "leading 1/(a(a-1)mu^a) coefficient deleted, the variant "
+            "attributed to earlier literature",
+            _v_ge_without_coefficient,
+        ),
     ),
     "atkinson": (
         PrintedVariant(
@@ -580,31 +588,9 @@ _VARIANTS = {
 }
 
 
-def printed_variants(measure_id: str) -> tuple:
-    """Archived published displays for a measure, normative form alongside."""
+def printed_variants(measure_id) -> tuple:
+    """Archived published displays for a measure id or MeasureFunctional,
+    normative form alongside."""
     T = parse_measure_id(measure_id)
     family = T.spec.family if T.spec else T.kind
     return _VARIANTS.get(family, ())
-
-
-# ---------------------------------------------------------------------------
-# Generalized-entropy coefficient adjudication
-# ---------------------------------------------------------------------------
-
-
-def ge_if_with_coefficient(alpha: float, F: Distribution, z: float,
-                           tol: Tolerance = DEFAULT_TOL) -> float:
-    """GE influence function including the 1/(a(a-1)mu^a) first-term
-    coefficient (the normative form)."""
-    return if_special(f"ge:{float(alpha):g}", F, z, tol)
-
-
-def ge_if_without_coefficient(alpha: float, F: Distribution, z: float,
-                              tol: Tolerance = DEFAULT_TOL) -> float:
-    """GE influence function with the first-term coefficient deleted, the
-    variant attributed to earlier literature; disagrees with the oracle."""
-    a = float(alpha)
-    spec = parse_measure_id(f"ge:{a:g}").spec
-    mu = F.mean()
-    ma = F.expect(spec.h, tol, key=spec.h_key)
-    return (z ** a - ma) - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0))

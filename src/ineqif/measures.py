@@ -31,13 +31,10 @@ __all__ = [
     "atkinson_from_appendix_parameter",
     "FunctionalValue",
     "functional_value",
-    "plugin_estimate",
     "gini",
     "lorenz_area",
     "qsr",
     "qsr_components",
-    "gini_plugin",
-    "qsr_plugin",
     "MeasureFunctional",
     "mean_functional",
     "parse_measure_id",
@@ -95,6 +92,13 @@ class TheilLikeSpec:
 _PARAM_FREE = {"theil", "mld", "champernowne"}
 
 
+def _param_text(param: float) -> str:
+    """The parameter of a measure id: `:g` text when it reads back as the
+    same float, else the shortest round-trip text."""
+    text = f"{param:g}"
+    return text if float(text) == param else repr(param).removesuffix(".0")
+
+
 def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
     """Build the (tau, h, h1, h2) quadruple for one family member."""
     family = str(family).lower()
@@ -129,7 +133,7 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
             h2_prime=lambda s: 0.0,
             requires_positive=a < 0,
             h_key=f"pow:{a!r}",
-            measure_id=f"ge:{param:g}",
+            measure_id=f"ge:{_param_text(param)}",
         )
 
     if family == "theil":
@@ -182,7 +186,7 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
             h2_prime=lambda s: 0.0,
             requires_positive=a < 0,
             h_key=f"pow:{a!r}",
-            measure_id=f"atkinson:{param:g}",
+            measure_id=f"atkinson:{_param_text(param)}",
         )
 
     if family == "champernowne":
@@ -217,7 +221,7 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
             h2_prime=lambda s: 0.0,
             requires_positive=False,
             h_key=f"expneg:{a!r}",
-            measure_id=f"kolm:{param:g}",
+            measure_id=f"kolm:{_param_text(param)}",
         )
 
     raise InvalidParameter(f"unknown family {family!r}")
@@ -233,7 +237,7 @@ def atkinson_from_appendix_parameter(alpha: float) -> TheilLikeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Population functional and plug-in estimator
+# Population functional (the plug-in estimator on an Empirical)
 # ---------------------------------------------------------------------------
 
 
@@ -271,14 +275,6 @@ def functional_value(spec: TheilLikeSpec, F: Distribution,
     index_arg = eh / h1_mu - float(spec.h2(mu))
     return FunctionalValue(value=float(spec.tau(index_arg)),
                            index_arg=index_arg, mu=mu, eh=eh)
-
-
-def plugin_estimate(spec: TheilLikeSpec, s: Empirical) -> float:
-    """tau((1/h1(mu_n)) * (1/n) sum h(X_j) - h2(mu_n)).
-
-    Identical code path to functional_value at the empirical distribution.
-    """
-    return functional_value(spec, s).value
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +316,6 @@ def gini(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
     return 2.0 * _gini_first_moment(F, tol) / F.mean() - 1.0
 
 
-def gini_plugin(s: Empirical, tol: Tolerance = DEFAULT_TOL) -> float:
-    return gini(s, tol)
-
-
 # ---------------------------------------------------------------------------
 # Quintile share ratio
 # ---------------------------------------------------------------------------
@@ -347,10 +339,6 @@ def qsr(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
             f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
         )
     return n / d
-
-
-def qsr_plugin(s: Empirical, tol: Tolerance = DEFAULT_TOL) -> float:
-    return qsr(s, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +382,11 @@ _FAMILY_TOKENS = {
 }
 
 
-def parse_measure_id(measure_id: str) -> MeasureFunctional:
-    """Resolve a stable measure id like 'ge:2', 'theil', 'gini'."""
+def parse_measure_id(measure_id) -> MeasureFunctional:
+    """Resolve a stable measure id like 'ge:2', 'theil', 'gini'; a
+    MeasureFunctional is returned as it is."""
+    if isinstance(measure_id, MeasureFunctional):
+        return measure_id
     mid = str(measure_id).strip().lower()
     if mid == "gini":
         return MeasureFunctional(id="gini", kind="gini")

@@ -22,7 +22,6 @@ __all__ = [
     "DerivativeEstimate",
     "DEFAULT_DERIVATIVE_STEPS",
     "derivative_at_zero_plus",
-    "bisect_nondecreasing",
 ]
 
 
@@ -261,6 +260,7 @@ def derivative_at_zero_plus(
     return DerivativeEstimate(value=value, error=max(candidates))
 
 
+# Outside __all__: no library code calls it; bench/tracing.py patches it.
 def bisect_nondecreasing(
     f: Callable[[float], float],
     target: float,

@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ineqif.cli as cli
-from ineqif import Empirical, make_spec, plugin_estimate
+from ineqif import (
+    Empirical,
+    functional_value,
+    if_special,
+    make_spec,
+    parse_measure_id,
+    printed_variants,
+)
 from ineqif.cli import ingest_csv, main, parse_distribution, parse_grid
 from ineqif.errors import (
     EmptyInput,
@@ -16,6 +23,7 @@ from ineqif.errors import (
     NegativeIncome,
     ParseError,
 )
+from ineqif.numeric import DEFAULT_TOL
 
 
 def write(tmp_path, name, text):
@@ -173,8 +181,8 @@ class TestMeasureCommand:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         cli_value = payload["results"][0]["value"]
-        lib_value = plugin_estimate(make_spec("theil"),
-                                    Empirical.from_values([2.0, 0.5, 7.0, 1.0]))
+        lib_value = functional_value(
+            make_spec("theil"), Empirical.from_values([2.0, 0.5, 7.0, 1.0])).value
         assert cli_value == lib_value  # bit-exact through the JSON round trip
 
     def test_plugin_route_for_gini_and_qsr(self, tmp_path, capsys):
@@ -185,10 +193,10 @@ class TestMeasureCommand:
         results = {r["measure_id"]: r["value"]
                    for r in json.loads(capsys.readouterr().out)["results"]}
         sample = Empirical.from_values(range(1, 11))
-        from ineqif import gini_plugin, qsr_plugin
+        from ineqif import gini, qsr
 
-        assert results["gini"] == gini_plugin(sample)
-        assert results["qsr"] == qsr_plugin(sample)
+        assert results["gini"] == gini(sample)
+        assert results["qsr"] == qsr(sample)
 
     def test_json_and_csv_values_agree(self, capsys):
         assert main(["measure", "--ids", "theil,gini", "--dist", "exp:1",
@@ -214,6 +222,43 @@ class TestMeasureCommand:
         assert payload["registry_version"] == "1"
         assert payload["seed"] == 9
         assert payload["distribution"] == "exp:1"
+
+
+class TestMeasureIds:
+    def test_parameter_keeps_full_precision(self, capsys):
+        assert main(["measure", "--ids", "ge:2.1234567", "--dist",
+                     "lognormal:0,0.5", "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        F = parse_distribution("lognormal:0,0.5")
+        assert row["measure_id"] == "ge:2.1234567"
+        assert row["value"] == functional_value(make_spec("ge", 2.1234567),
+                                                F).value
+
+    def test_parameter_next_to_a_boundary_stays_valid(self, capsys):
+        # six significant digits would read atkinson:1, which is invalid
+        assert main(["measure", "--ids", "atkinson:0.99999999", "--dist",
+                     "lognormal:0,0.5", "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["measure_id"] == "atkinson:0.99999999"
+
+    def test_compare_ge_computes_at_the_reported_alpha(self, capsys):
+        assert main(["compare-ge", "--alpha", "2.1234567", "--dist",
+                     "lognormal:0,0.5", "--grid", "0.5:2:3:lin",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        F = parse_distribution("lognormal:0,0.5")
+        assert payload["alpha"] == 2.1234567
+        for row in payload["rows"]:
+            assert row["if_with_coeff"] == if_special("ge:2.1234567", F,
+                                                      row["z"])
+
+    @pytest.mark.parametrize("mid", ["ge:2", "ge:-1", "ge:0.5", "ge:1e-05",
+                                     "ge:1e+06", "atkinson:0.5", "kolm:1",
+                                     "ge:1234567", "ge:0.1234567",
+                                     "kolm:1.0000000000000002"])
+    def test_id_text_reads_back_as_its_parameter(self, mid):
+        # ids whose 6-digit text is exact keep it; the rest keep every digit
+        assert parse_measure_id(mid).id == mid
 
 
 class TestExitCodes:
@@ -332,6 +377,24 @@ class TestCompareGeCommand:
         row = payload["rows"][0]
         assert set(row) == {"z", "if_with_coeff", "if_without_coeff",
                             "oracle", "abs_err_with", "abs_err_without"}
+
+    def test_without_column_is_the_variant_row(self, capsys):
+        assert main(["compare-ge", "--dist", "exp:1", "--alpha", "2",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        F = parse_distribution("exp:1")
+        T = parse_measure_id("ge:2")
+        row = {v.source: v for v in printed_variants(T)}["without_coefficient"]
+        for r in rows:
+            assert r["if_without_coeff"] == row.evaluate(F, r["z"],
+                                                         DEFAULT_TOL, T.spec)
+        assert main(["verify", "--dist", "exp:1", "--ids", "ge:2",
+                     "--format", "json"]) == 0
+        verdicts = {r["formula_source"]: r
+                    for r in json.loads(capsys.readouterr().out)["rows"]}
+        table = verdicts["without_coefficient"]
+        assert table["normative"] is False and table["verdict"] == "FAIL"
+        assert table["max_abs_err"] == max(r["abs_err_without"] for r in rows)
 
 
 class TestMcStudyCommand:

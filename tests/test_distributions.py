@@ -7,12 +7,8 @@ from ineqif import (
     Dirac,
     Empirical,
     contaminate,
-    cumulative_functional,
-    expect,
     integrate,
-    lorenz,
     make_distribution,
-    quantile,
     scaled,
     translated,
 )
@@ -82,7 +78,7 @@ class TestContamination:
         g = lambda x: np.sqrt(x) + 1.0
         for eps, z in ((0.1, 5.0), (0.01, 0.2), (0.5, 1.0)):
             C = contaminate(F, eps, z)
-            assert expect(C, g) == (1 - eps) * expect(F, g) + eps * float(g(z))
+            assert C.expect(g) == (1 - eps) * F.expect(g) + eps * float(g(z))
 
     def test_invalid_contamination(self):
         F = make_distribution("exp", 1.0)
@@ -103,20 +99,20 @@ class TestContamination:
 class TestExpect:
     def test_exponential_identity(self):
         F = make_distribution("exp", 1.0)
-        assert expect(F, lambda x: x) == pytest.approx(1.0, abs=1e-9)
+        assert F.expect(lambda x: x) == pytest.approx(1.0, abs=1e-9)
 
     def test_lognormal_log_moment(self):
         # E log X = log-mean parameter; quadrature vs the analytic value
         F = make_distribution("lognormal", 0.0, 0.5)
-        assert expect(F, np.log) == pytest.approx(0.0, abs=1e-9)
+        assert F.expect(np.log) == pytest.approx(0.0, abs=1e-9)
 
     def test_contaminated_identity(self):
         C = contaminate(make_distribution("exp", 1.0), 0.1, 5.0)
-        assert expect(C, lambda x: x) == pytest.approx(1.4, abs=1e-9)
+        assert C.expect(lambda x: x) == pytest.approx(1.4, abs=1e-9)
 
     def test_scalar_only_callable_falls_back(self):
         F = make_distribution("uniform", 0.0, 1.0)
-        value = expect(F, lambda x: math.sqrt(x))  # rejects arrays
+        value = F.expect(lambda x: math.sqrt(x))  # rejects arrays
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
@@ -124,12 +120,12 @@ class TestQuantile:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_uniform_identity(self, p):
         F = make_distribution("uniform", 0.0, 1.0)
-        assert quantile(F, p) == pytest.approx(p, abs=1e-15)
+        assert F.quantile(p) == pytest.approx(p, abs=1e-15)
 
     def test_exponential_analytic_inverse(self):
         # invert 1 - e^-x by hand: Q(1 - e^-1) = 1
         F = make_distribution("exp", 1.0)
-        assert quantile(F, 1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert F.quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_contaminated_quantile_hits_atom(self):
         # brute-force oracle: scan the mixture cdf for inf{x : F(x) >= p}
@@ -137,7 +133,7 @@ class TestQuantile:
         xs = np.linspace(0.0, 3.0, 300001)
         oracle = xs[np.asarray(C.cdf(xs)) >= 0.75][0]
         assert oracle == pytest.approx(2.0, abs=1e-4)
-        assert quantile(C, 0.75) == pytest.approx(2.0, abs=1e-9)
+        assert C.quantile(0.75) == pytest.approx(2.0, abs=1e-9)
 
     @staticmethod
     def _check_exact_inverse(G, z, invert_cdf):
@@ -184,9 +180,9 @@ class TestQuantile:
     def test_out_of_range(self):
         F = make_distribution("exp", 1.0)
         with pytest.raises(InvalidParameter):
-            quantile(F, -0.1)
+            F.quantile(-0.1)
         with pytest.raises(InvalidParameter):
-            quantile(F, 1.5)
+            F.quantile(1.5)
 
     @pytest.mark.parametrize("kind,params", PARAMETRIC)
     def test_cdf_quantile_roundtrip(self, kind, params):
@@ -236,8 +232,8 @@ class TestMoments:
 class TestLorenz:
     def test_endpoints(self):
         for F in (make_distribution("exp", 1.0), Dirac(3.0)):
-            assert lorenz(F, 0.0) == 0.0
-            assert lorenz(F, 1.0) == 1.0
+            assert F.lorenz(0.0) == 0.0
+            assert F.lorenz(1.0) == 1.0
 
     def test_exponential_closed_form(self):
         # oracle: antiderivative of -log(1-s) is (1-s)log(1-s) + s
@@ -245,16 +241,16 @@ class TestLorenz:
         p = 0.5
         oracle = (1 - p) * math.log(1 - p) + p
         assert oracle == pytest.approx(0.153426, abs=1e-6)
-        assert lorenz(F, p) == pytest.approx(oracle, abs=1e-9)
+        assert F.lorenz(p) == pytest.approx(oracle, abs=1e-9)
 
     def test_dirac_equality_line(self):
-        assert lorenz(Dirac(4.0), 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert Dirac(4.0).lorenz(0.5) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "pareto:3,1"])
     def test_nondecreasing_and_convex(self, spec, fleet):
         F = fleet[spec]
         ps = np.linspace(0.0, 1.0, 21)
-        ls = np.array([lorenz(F, p) for p in ps])
+        ls = np.array([F.lorenz(p) for p in ps])
         assert np.all(np.diff(ls) >= -1e-12)
         assert np.all(np.diff(ls, 2) >= -1e-9)
 
@@ -262,24 +258,24 @@ class TestLorenz:
 class TestCumulativeFunctional:
     def test_uniform_half(self):
         F = make_distribution("uniform", 0.0, 1.0)
-        assert cumulative_functional(F, 0.5) == pytest.approx(0.125, abs=1e-10)
+        assert F.cumulative_functional(0.5) == pytest.approx(0.125, abs=1e-10)
 
     def test_full_mass_is_mean(self):
         F = make_distribution("exp", 1.0)
-        assert cumulative_functional(F, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert F.cumulative_functional(1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_integral(self):
-        assert cumulative_functional(make_distribution("exp", 1.0), 0.0) == 0.0
+        assert make_distribution("exp", 1.0).cumulative_functional(0.0) == 0.0
 
     def test_monotone_in_p(self):
         F = make_distribution("lognormal", 0.0, 0.5)
-        vals = [cumulative_functional(F, p) for p in np.linspace(0.0, 1.0, 11)]
+        vals = [F.cumulative_functional(p) for p in np.linspace(0.0, 1.0, 11)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_includes_atoms_below_quantile(self):
         E = Empirical.from_values([1.0, 2.0, 3.0, 4.0])
         # Q(0.5) = 2; atoms 1 and 2 contribute with full weight 1/4 each
-        assert cumulative_functional(E, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert E.cumulative_functional(0.5) == pytest.approx(0.75, abs=1e-15)
 
 
 class TestEmpirical:
@@ -302,10 +298,23 @@ class TestEmpirical:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             Empirical.from_values([])
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="non-negative"):
             Empirical.from_values([-1.0, 2.0])
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="non-negative"):
+            Empirical.from_values([-math.inf, 2.0])
+        with pytest.raises(InvalidParameter, match="mean must be positive"):
             Empirical.from_values([0.0, 0.0])
+        with pytest.raises(InvalidParameter, match="sorted"):
+            Empirical(np.array([2.0, 1.0, math.nan]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [Empirical.from_values,
+                                       lambda v: Empirical(sorted(v))],
+                             ids=["from_values", "constructor"])
+    def test_non_finite_observation_is_named(self, bad, build):
+        with pytest.raises(InvalidParameter,
+                           match="empirical observations must be finite"):
+            build([1.0, bad, 2.0])
 
 
 class TestTransforms:

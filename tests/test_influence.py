@@ -9,8 +9,6 @@ from ineqif import (
     asymptotic_variance,
     default_grid,
     gateaux_if,
-    ge_if_with_coefficient,
-    ge_if_without_coefficient,
     if_curve,
     if_gini,
     if_qsr,
@@ -104,10 +102,8 @@ class TestSpecialForms:
     def test_ge_appendix_coefficient_agrees_with_oracle(self):
         F = make_distribution("exp", 1.0)
         closed = if_special("ge:2", F, 2.0)
-        with_coeff = ge_if_with_coefficient(2.0, F, 2.0)
-        assert closed == with_coeff
         oracle = gateaux_if(parse_measure_id("ge:2"), F, 2.0)
-        assert with_coeff == pytest.approx(oracle.value, abs=1e-5)
+        assert closed == pytest.approx(oracle.value, abs=1e-5)
 
 
 class TestGiniIF:
@@ -289,12 +285,15 @@ class TestCoefficientAdjudication:
     def test_variant_without_coefficient_fails_loudly(self):
         F = make_distribution("exp", 1.0)
         T = parse_measure_id("ge:2")
+        without = {v.source: v for v in printed_variants(T)}[
+            "without_coefficient"]
+        assert not without.matches_normative
         excess = 0.0
-        for z in default_grid(F, "ge:2"):
+        for z in default_grid(F, T):
             z = float(z)
             oracle = gateaux_if(T, F, z).value
-            with_c = ge_if_with_coefficient(2.0, F, z)
-            without_c = ge_if_without_coefficient(2.0, F, z)
+            with_c = if_special(T, F, z)
+            without_c = without.evaluate(F, z, DEFAULT_TOL, T.spec)
             tol = max(1e-5, 1e-4 * abs(with_c))
             assert abs(with_c - oracle) <= tol
             excess = max(excess, abs(without_c - oracle) / tol)
@@ -328,7 +327,8 @@ class TestPrintedVariants:
         for mid in ("ge:2", "theil", "mld", "atkinson:0.5", "champernowne",
                     "kolm:1", "gini", "qsr"):
             for v in printed_variants(mid):
-                assert v.source in ("section2_printed", "appendix_printed")
+                assert v.source in ("section2_printed", "appendix_printed",
+                                    "without_coefficient")
                 assert v.printed_form and v.normative_form
 
 
