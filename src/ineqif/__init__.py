@@ -46,10 +46,7 @@ from .influence import (
     default_grid,
     gateaux_if,
     if_curve,
-    if_gini,
-    if_qsr,
     if_special,
-    if_theorem1,
     printed_variants,
 )
 from .measures import (

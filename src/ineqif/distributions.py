@@ -41,7 +41,11 @@ __all__ = [
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), "g")
+    """A parameter as text: `:g` when that reads back as the same float,
+    else the shortest round-trip text."""
+    v = float(v)
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v).removesuffix(".0")
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,7 @@ class Distribution:
 
     def partial_mean(self, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
         """E[X 1{X <= t}], with atoms at t counted in full."""
-        if t >= self.uep:
-            return self.mean()
-        if t < self.lep:
-            return 0.0
-        return integrate(lambda x: np.asarray(x) * self.pdf(x), self.lep, t, tol)
+        raise NotImplementedError
 
     def quantile_array(self, ps) -> np.ndarray:
         ps = np.asarray(ps, dtype=float)
@@ -771,7 +771,10 @@ def make_distribution(kind: str, *params: float) -> Distribution:
         raise InvalidParameter(
             f"{norm} takes {arity} parameter(s), got {len(params)}"
         )
-    return ctor(*[float(p) for p in params])
+    values = [float(p) for p in params]
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameter(f"{norm} parameters must be finite, got {values}")
+    return ctor(*values)
 
 
 def contaminate(base: Distribution, epsilon: float, z: float) -> Contaminated:

@@ -26,14 +26,13 @@ from .errors import (
 )
 from .measures import (
     MeasureFunctional,
-    TheilLikeSpec,
     functional_value,
     lorenz_area,
+    make_spec,
     parse_measure_id,
     qsr_components,
 )
 from .numeric import (
-    DEFAULT_DERIVATIVE_STEPS,
     DEFAULT_TOL,
     DerivativeEstimate,
     Tolerance,
@@ -42,10 +41,7 @@ from .numeric import (
 )
 
 __all__ = [
-    "if_theorem1",
     "if_special",
-    "if_gini",
-    "if_qsr",
     "gateaux_if",
     "asymptotic_variance",
     "IFCurve",
@@ -189,37 +185,18 @@ def if_special(measure_id, F: Distribution, z: float,
     return float(kernel(_check_closed_point(T, F, z, kernel)))
 
 
-def if_theorem1(spec: TheilLikeSpec, F: Distribution, z: float,
-                tol: Tolerance = DEFAULT_TOL) -> float:
-    """Influence function of a quadruple-family member (Theorem 1)."""
-    return if_special(MeasureFunctional(spec.measure_id, "theil_like", spec),
-                      F, z, tol)
-
-
-def if_gini(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Gini influence function; KinkPoint on an atom of F."""
-    return if_special("gini", F, z, tol)
-
-
-def if_qsr(F: Distribution, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Quintile-share-ratio influence function; KinkPoint on a quintile
-    boundary."""
-    return if_special("qsr", F, z, tol)
-
-
 # ---------------------------------------------------------------------------
 # Numerical Gateaux oracle
 # ---------------------------------------------------------------------------
 
 
 def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
-               schedule: Sequence[float] = DEFAULT_DERIVATIVE_STEPS,
                tol: Tolerance = DEFAULT_TOL) -> DerivativeEstimate:
     """lim_{eps->0+} [T((1-eps)F + eps Dirac(z)) - T(F)] / eps.
 
     This is the independent oracle for every closed form in this module.
     Expectations over the contaminated mixture are exact in eps, so the
-    difference quotients carry no quadrature drift across the schedule.
+    difference quotients carry no quadrature drift across the steps.
     """
     z = _check_point(z)
     base_value = T.evaluate(F, tol)
@@ -227,7 +204,7 @@ def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
     def phi(eps: float) -> float:
         return T.evaluate(contaminate(F, eps, z), tol) - base_value
 
-    return derivative_at_zero_plus(phi, schedule)
+    return derivative_at_zero_plus(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +250,8 @@ class IFCurve:
 
 
 def if_curve(measure_id, F: Distribution, grid: Sequence[float],
-             with_oracle: bool = False, tol: Tolerance = DEFAULT_TOL,
-             schedule: Sequence[float] = DEFAULT_DERIVATIVE_STEPS) -> IFCurve:
+             with_oracle: bool = False,
+             tol: Tolerance = DEFAULT_TOL) -> IFCurve:
     """Evaluate the closed-form IF (and optionally the oracle) on a grid,
     for a measure id or a MeasureFunctional.
 
@@ -302,7 +279,7 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
             point_errors.append((i, f"closed: {exc}"))
         if with_oracle:
             try:
-                est = gateaux_if(T, F, float(z), schedule, tol)
+                est = gateaux_if(T, F, float(z), tol)
                 oracle[i] = est.value
                 oracle_err[i] = est.error
             except Exception as exc:
@@ -387,7 +364,8 @@ def _v_mld_s2(F, z, tol, spec):
 def _v_theil_s2(F, z, tol, spec):
     mu = F.mean()
     nu = F.expect(spec.h, tol, key=spec.h_key)  # E X log X
-    nu0 = F.expect(lambda s: np.log(np.asarray(s, float)), tol, key="log")
+    log_spec = make_spec("champernowne")  # h = log
+    nu0 = F.expect(log_spec.h, tol, key=log_spec.h_key)
     zlogz = z * math.log(z) if z > 0 else 0.0
     return (zlogz - nu) / mu - (mu + nu0) / (mu * mu)
 
@@ -427,9 +405,8 @@ def _v_gini_appendix(F, z, tol, spec):
 
 def _v_mld_appendix(F, z, tol, spec):
     mu = F.mean()
-    # E log X through the MLD moment E[-log X], sharing its cache entry
-    nu = -F.expect(lambda s: -np.log(np.asarray(s, float)), tol,
-                   key="neglog")
+    mld = make_spec("mld")  # h = -log, so E log X = -E h(X)
+    nu = -F.expect(mld.h, tol, key=mld.h_key)
     return -(math.log(z) - nu) + (z - mu) / mu
 
 
@@ -582,7 +559,7 @@ _VARIANTS = {
             "each piece a single fraction over D^2; A3 upper endpoint read "
             "as uep(F)",
             "bracket-normalized reading matches the oracle",
-            lambda F, z, tol, spec: if_qsr(F, z, tol),
+            lambda F, z, tol, spec: if_special("qsr", F, z, tol),
         ),
     ),
 }

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Contaminated, Dirac, Distribution, Empirical
+from .distributions import Contaminated, Dirac, Distribution, Empirical, _fmt
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -58,12 +58,23 @@ def _xlogx(s):
     return out if out.ndim else float(out)
 
 
-def _log(s):
-    return np.log(np.asarray(s, dtype=float))
+# (function, derivative) pairs the quadruples are built from
+_ZERO = (lambda s: 0.0, lambda s: 0.0)
+_ONE = (lambda s: 1.0, lambda s: 0.0)
+_IDENTITY = (lambda s: s, lambda s: 1.0)
+_LOG = (np.log, lambda s: 1.0 / s)
+_NEG_LOG = (lambda s: -np.log(s), lambda s: -1.0 / s)
+_XLOGX = (_xlogx, lambda s: 1.0 + np.log(s))
 
 
-def _neg_log(s):
-    return -np.log(np.asarray(s, dtype=float))
+def _power(a: float):
+    return (lambda s: np.asarray(s, dtype=float) ** a,
+            lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0))
+
+
+def _exp_neg(a: float):
+    return (lambda s: np.exp(-a * np.asarray(s, dtype=float)),
+            lambda s: -a * np.exp(-a * np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -92,11 +103,16 @@ class TheilLikeSpec:
 _PARAM_FREE = {"theil", "mld", "champernowne"}
 
 
-def _param_text(param: float) -> str:
-    """The parameter of a measure id: `:g` text when it reads back as the
-    same float, else the shortest round-trip text."""
-    text = f"{param:g}"
-    return text if float(text) == param else repr(param).removesuffix(".0")
+def _member(family: str, prefix: str, param: Optional[float], tau, h, h1, h2,
+            requires_positive: bool, h_key: str) -> TheilLikeSpec:
+    """A spec from the (function, derivative) pairs of its quadruple."""
+    return TheilLikeSpec(
+        family=family, param=param,
+        tau=tau[0], tau_prime=tau[1], h=h[0], h_prime=h[1],
+        h1=h1[0], h1_prime=h1[1], h2=h2[0], h2_prime=h2[1],
+        requires_positive=requires_positive, h_key=h_key,
+        measure_id=prefix if param is None else f"{prefix}:{_fmt(param)}",
+    )
 
 
 def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
@@ -109,9 +125,12 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         raise InvalidParameter(f"{family} requires a parameter")
     else:
         param = float(param)
+        if not math.isfinite(param):
+            raise InvalidParameter(f"{family} requires a finite parameter, "
+                                   f"got {param}")
+    a = param
 
     if family in ("ge", "generalized_entropy"):
-        a = param
         if a == 0.0:
             raise InvalidParameter(
                 "generalized entropy is undefined at alpha=0; use 'mld'"
@@ -121,108 +140,39 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
                 "generalized entropy is undefined at alpha=1; use 'theil'"
             )
         c = a * (a - 1.0)
-        return TheilLikeSpec(
-            family="generalized_entropy", param=a,
-            tau=lambda s: (s - 1.0) / c,
-            tau_prime=lambda s: 1.0 / c,
-            h=lambda s: np.asarray(s, dtype=float) ** a,
-            h_prime=lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0),
-            h1=lambda s: np.asarray(s, dtype=float) ** a,
-            h1_prime=lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0),
-            h2=lambda s: 0.0,
-            h2_prime=lambda s: 0.0,
-            requires_positive=a < 0,
-            h_key=f"pow:{a!r}",
-            measure_id=f"ge:{_param_text(param)}",
-        )
+        return _member("generalized_entropy", "ge", a,
+                       (lambda s: (s - 1.0) / c, lambda s: 1.0 / c),
+                       _power(a), _power(a), _ZERO, a < 0, f"pow:{a!r}")
 
     if family == "theil":
-        return TheilLikeSpec(
-            family="theil", param=None,
-            tau=lambda s: s,
-            tau_prime=lambda s: 1.0,
-            h=_xlogx,
-            h_prime=lambda s: 1.0 + np.log(np.asarray(s, dtype=float)),
-            h1=lambda s: s,
-            h1_prime=lambda s: 1.0,
-            h2=lambda s: math.log(s),
-            h2_prime=lambda s: 1.0 / s,
-            requires_positive=False,
-            h_key="xlogx",
-            measure_id="theil",
-        )
+        return _member("theil", "theil", None, _IDENTITY, _XLOGX, _IDENTITY,
+                       _LOG, False, "xlogx")
 
     if family == "mld":
-        return TheilLikeSpec(
-            family="mld", param=None,
-            tau=lambda s: s,
-            tau_prime=lambda s: 1.0,
-            h=_neg_log,
-            h_prime=lambda s: -1.0 / np.asarray(s, dtype=float),
-            h1=lambda s: 1.0,
-            h1_prime=lambda s: 0.0,
-            h2=lambda s: -math.log(s),
-            h2_prime=lambda s: -1.0 / s,
-            requires_positive=True,
-            h_key="neglog",
-            measure_id="mld",
-        )
+        return _member("mld", "mld", None, _IDENTITY, _NEG_LOG, _ONE,
+                       _NEG_LOG, True, "neglog")
 
     if family == "atkinson":
-        a = param
         if not (a < 1.0 and a != 0.0):
             raise InvalidParameter(
                 f"atkinson requires alpha < 1 and alpha != 0, got {a}"
             )
-        return TheilLikeSpec(
-            family="atkinson", param=a,
-            tau=lambda s: 1.0 - s ** (1.0 / a),
-            tau_prime=lambda s: -(1.0 / a) * s ** (1.0 / a - 1.0),
-            h=lambda s: np.asarray(s, dtype=float) ** a,
-            h_prime=lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0),
-            h1=lambda s: np.asarray(s, dtype=float) ** a,
-            h1_prime=lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0),
-            h2=lambda s: 0.0,
-            h2_prime=lambda s: 0.0,
-            requires_positive=a < 0,
-            h_key=f"pow:{a!r}",
-            measure_id=f"atkinson:{_param_text(param)}",
-        )
+        return _member("atkinson", "atkinson", a,
+                       (lambda s: 1.0 - s ** (1.0 / a),
+                        lambda s: -(1.0 / a) * s ** (1.0 / a - 1.0)),
+                       _power(a), _power(a), _ZERO, a < 0, f"pow:{a!r}")
 
     if family == "champernowne":
-        return TheilLikeSpec(
-            family="champernowne", param=None,
-            tau=lambda s: 1.0 - math.exp(s),
-            tau_prime=lambda s: -math.exp(s),
-            h=_log,
-            h_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
-            h1=lambda s: 1.0,
-            h1_prime=lambda s: 0.0,
-            h2=lambda s: math.log(s),
-            h2_prime=lambda s: 1.0 / s,
-            requires_positive=True,
-            h_key="log",
-            measure_id="champernowne",
-        )
+        return _member("champernowne", "champernowne", None,
+                       (lambda s: 1.0 - math.exp(s), lambda s: -math.exp(s)),
+                       _LOG, _ONE, _LOG, True, "log")
 
     if family == "kolm":
-        a = param
         if not a > 0:
             raise InvalidParameter(f"kolm requires alpha > 0, got {a}")
-        return TheilLikeSpec(
-            family="kolm", param=a,
-            tau=lambda s: math.log(s) / a,
-            tau_prime=lambda s: 1.0 / (a * s),
-            h=lambda s: np.exp(-a * np.asarray(s, dtype=float)),
-            h_prime=lambda s: -a * np.exp(-a * np.asarray(s, dtype=float)),
-            h1=lambda s: np.exp(-a * np.asarray(s, dtype=float)),
-            h1_prime=lambda s: -a * np.exp(-a * np.asarray(s, dtype=float)),
-            h2=lambda s: 0.0,
-            h2_prime=lambda s: 0.0,
-            requires_positive=False,
-            h_key=f"expneg:{a!r}",
-            measure_id=f"kolm:{_param_text(param)}",
-        )
+        return _member("kolm", "kolm", a,
+                       (lambda s: math.log(s) / a, lambda s: 1.0 / (a * s)),
+                       _exp_neg(a), _exp_neg(a), _ZERO, False, f"expneg:{a!r}")
 
     raise InvalidParameter(f"unknown family {family!r}")
 

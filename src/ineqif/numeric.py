@@ -202,14 +202,13 @@ DEFAULT_DERIVATIVE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)
 def derivative_at_zero_plus(
     phi: Callable[[float], float],
     steps: Sequence[float] = DEFAULT_DERIVATIVE_STEPS,
-    order: int = 2,
 ) -> DerivativeEstimate:
     """Estimate lim_{e->0+} phi(e)/e by Richardson extrapolation.
 
     phi must satisfy phi(e) = c*e + O(e^2) near zero. The difference
-    quotients phi(e)/e are extrapolated to e=0 with a Neville tableau
-    truncated at `order`; on an exactly linear phi the slope comes back to
-    machine accuracy.
+    quotients phi(e)/e are extrapolated to e=0 with a Neville tableau of
+    depth 2; on an exactly linear phi the slope comes back to machine
+    accuracy.
 
     Raises NoisyLimit when successive extrapolants diverge, which signals a
     non-differentiable point (e.g. a quantile kink).
@@ -224,7 +223,7 @@ def derivative_at_zero_plus(
 
     quotients = [phi(e) / e for e in eps]
     n = len(quotients)
-    depth = min(order, n - 1)
+    depth = 2  # at least 3 steps, so every row of the tableau exists
 
     # tableau[j][i] extrapolates jth order using points i-j .. i
     tableau = [list(quotients)]
@@ -254,10 +253,9 @@ def derivative_at_zero_plus(
                 diagonal,
             )
 
-    candidates = [deltas[-1]]
-    if depth >= 1 and n - 1 >= depth:
-        candidates.append(abs(tableau[depth][n - 1] - tableau[depth - 1][n - 1]))
-    return DerivativeEstimate(value=value, error=max(candidates))
+    error = max(deltas[-1],
+                abs(tableau[depth][n - 1] - tableau[depth - 1][n - 1]))
+    return DerivativeEstimate(value=value, error=error)
 
 
 # Outside __all__: no library code calls it; bench/tracing.py patches it.

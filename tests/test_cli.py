@@ -261,6 +261,21 @@ class TestMeasureIds:
         assert parse_measure_id(mid).id == mid
 
 
+class TestDescriptors:
+    def test_descriptor_reads_back_as_the_same_model(self, capsys):
+        assert main(["measure", "--ids", "theil", "--dist",
+                     "lognormal:0.7062741234,0.9255951", "--format",
+                     "json"]) == 0
+        text = json.loads(capsys.readouterr().out)["distribution"]
+        assert text == "lognormal:0.7062741234,0.9255951"
+        assert parse_distribution(text) == parse_distribution(
+            "lognormal:0.7062741234,0.9255951")
+
+    @pytest.mark.parametrize("spec", ["exp:1", "pareto:3,1", "exp:2e-05"])
+    def test_short_descriptors_print_as_before(self, spec):
+        assert parse_distribution(spec).descriptor() == spec
+
+
 class TestExitCodes:
     def test_usage_requires_exactly_one_source(self, tmp_path):
         data = write(tmp_path, "x.csv", "1\n")
@@ -272,6 +287,24 @@ class TestExitCodes:
         assert main(["measure", "--id", "zenga", "--dist", "exp:1"]) == 1
         assert main(["measure", "--id", "theil", "--dist", "exp:0"]) == 1
         assert main(["measure", "--id", "theil", "--dist", "nope:1"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        "measure --ids ge:nan --dist exp:1",
+        "measure --ids ge:inf --dist exp:1",
+        "measure --ids ge:-inf --dist exp:1",
+        "measure --ids atkinson:-inf --dist exp:1",
+        "measure --ids kolm:inf --dist exp:1",
+        "compare-ge --alpha nan --dist exp:1",
+        "measure --ids theil --dist lognormal:nan,0.5",
+        "measure --ids theil --dist uniform:0,inf",
+        "measure --ids theil --dist pareto:3,inf",
+        "measure --ids theil --dist sm:2,inf,3",
+        "measure --ids theil --dist dirac:inf",
+        "measure --ids theil --dist exp:inf",
+    ])
+    def test_non_finite_parameter_is_a_usage_error(self, command, capsys):
+        assert main(command.split()) == 1
+        assert "InvalidParameter" in capsys.readouterr().err
 
     def test_usage_unknown_flag(self):
         assert main(["measure", "--id", "theil", "--dist", "exp:1",

@@ -10,14 +10,10 @@ from ineqif import (
     default_grid,
     gateaux_if,
     if_curve,
-    if_gini,
-    if_qsr,
     if_special,
-    if_theorem1,
     integrate,
     lorenz_area,
     make_distribution,
-    make_spec,
     mean_functional,
     parse_measure_id,
     printed_variants,
@@ -36,9 +32,8 @@ THEIL_LIKE_IDS = ("ge:2", "ge:0.5", "theil", "mld", "atkinson:0.5",
 class TestTheorem1:
     def test_centering_theil_exponential(self):
         F = make_distribution("exp", 1.0)
-        spec = make_spec("theil")
         residual = F.expect(lambda x: np.array(
-            [if_theorem1(spec, F, float(v)) for v in np.atleast_1d(x)]))
+            [if_special("theil", F, float(v)) for v in np.atleast_1d(x)]))
         assert abs(residual) <= 1e-8
 
     def test_mld_exponential_at_one(self):
@@ -46,13 +41,13 @@ class TestTheorem1:
         F = make_distribution("exp", 1.0)
         oracle = gateaux_if(parse_measure_id("mld"), F, 1.0)
         assert oracle.value == pytest.approx(-EULER_GAMMA, abs=1e-8)
-        assert if_theorem1(make_spec("mld"), F, 1.0) == pytest.approx(
+        assert if_special("mld", F, 1.0) == pytest.approx(
             -EULER_GAMMA, abs=1e-9)
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0])
     def test_ge2_matches_oracle(self, z):
         F = make_distribution("exp", 1.0)
-        closed = if_theorem1(make_spec("ge", 2.0), F, z)
+        closed = if_special("ge:2", F, z)
         oracle = gateaux_if(parse_measure_id("ge:2"), F, z)
         assert closed == pytest.approx(oracle.value, abs=1e-5)
 
@@ -77,13 +72,13 @@ class TestTheorem1:
     def test_domain_error_at_zero_for_log_families(self):
         F = make_distribution("exp", 1.0)
         with pytest.raises(DomainError):
-            if_theorem1(make_spec("mld"), F, 0.0)
+            if_special("mld", F, 0.0)
         with pytest.raises(DomainError):
             if_special("champernowne", F, 0.0)
 
     def test_rejects_negative_point(self):
         with pytest.raises(InvalidParameter):
-            if_theorem1(make_spec("theil"), make_distribution("exp", 1.0), -1.0)
+            if_special("theil", make_distribution("exp", 1.0), -1.0)
 
 
 class TestSpecialForms:
@@ -110,7 +105,7 @@ class TestGiniIF:
     def test_centering_exponential(self):
         F = make_distribution("exp", 1.0)
         residual = F.expect(lambda x: np.array(
-            [if_gini(F, float(v)) for v in np.atleast_1d(x)]))
+            [if_special("gini", F, float(v)) for v in np.atleast_1d(x)]))
         assert abs(residual) <= 1e-7
 
     def test_uniform_half_adjudicated_value(self):
@@ -124,17 +119,17 @@ class TestGiniIF:
         assert hand == pytest.approx(-1.0 / 6.0, abs=1e-8)
         oracle = gateaux_if(parse_measure_id("gini"), F, 0.5)
         assert oracle.value == pytest.approx(-1.0 / 6.0, abs=1e-7)
-        assert if_gini(F, 0.5) == pytest.approx(-1.0 / 6.0, abs=1e-9)
+        assert if_special("gini", F, 0.5) == pytest.approx(-1.0 / 6.0, abs=1e-9)
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 4.0])
     def test_exponential_matches_oracle(self, z):
         F = make_distribution("exp", 1.0)
         oracle = gateaux_if(parse_measure_id("gini"), F, z)
-        assert if_gini(F, z) == pytest.approx(oracle.value, abs=1e-5)
+        assert if_special("gini", F, z) == pytest.approx(oracle.value, abs=1e-5)
 
     def test_atom_flagged(self):
         with pytest.raises(KinkPoint):
-            if_gini(Dirac(2.0), 2.0)
+            if_special("gini", Dirac(2.0), 2.0)
 
 
 class TestQsrIF:
@@ -143,7 +138,7 @@ class TestQsrIF:
         pieces = [(0.0, 0.2), (0.2, 0.8), (0.8, 1.0)]
         total = sum(
             integrate(lambda x: np.array(
-                [if_qsr(F, float(v)) for v in np.atleast_1d(x)]) * F.pdf(x),
+                [if_special("qsr", F, float(v)) for v in np.atleast_1d(x)]) * F.pdf(x),
                 a, b)
             for a, b in pieces)
         assert abs(total) <= 1e-6
@@ -156,14 +151,14 @@ class TestQsrIF:
         oracle = gateaux_if(parse_measure_id("qsr"), F, 0.5)
         assert oracle.value == pytest.approx(-10.0, abs=1e-4)
         for z in (0.25, 0.4, 0.5, 0.65, 0.79):
-            assert if_qsr(F, z) == pytest.approx(-10.0, abs=1e-12)
+            assert if_special("qsr", F, z) == pytest.approx(-10.0, abs=1e-12)
 
     def test_kink_points_flagged(self):
         F = make_distribution("uniform", 0.0, 1.0)
         with pytest.raises(KinkPoint):
-            if_qsr(F, 0.2)
+            if_special("qsr", F, 0.2)
         with pytest.raises(KinkPoint):
-            if_qsr(F, 0.8)
+            if_special("qsr", F, 0.8)
 
 
 class TestGateauxOracle:
@@ -182,7 +177,7 @@ class TestGateauxOracle:
 
     def test_theil_self_consistency(self):
         F = make_distribution("exp", 1.0)
-        closed = if_theorem1(make_spec("theil"), F, 2.0)
+        closed = if_special("theil", F, 2.0)
         oracle = gateaux_if(parse_measure_id("theil"), F, 2.0)
         assert closed == pytest.approx(oracle.value, abs=1e-5)
 

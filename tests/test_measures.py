@@ -42,6 +42,16 @@ class TestSpecs:
         assert float(spec.h_prime(2.0)) == pytest.approx(-0.5)
         assert spec.h1_prime(2.0) == 0.0
 
+    @pytest.mark.parametrize("mid", ALL_FAMILY_IDS + ("ge:-1", "atkinson:-0.5"))
+    @pytest.mark.parametrize("name", ["tau", "h", "h1", "h2"])
+    def test_derivatives_match_central_differences(self, mid, name):
+        spec = parse_measure_id(mid).spec
+        f, df = getattr(spec, name), getattr(spec, name + "_prime")
+        for s in (0.5, 1.3, 2.7):
+            step = 1e-6 * s
+            central = (float(f(s + step)) - float(f(s - step))) / (2.0 * step)
+            assert float(df(s)) == pytest.approx(central, rel=1e-6, abs=1e-9)
+
     def test_atkinson_h(self):
         assert float(make_spec("atkinson", 0.5).h(4.0)) == pytest.approx(2.0)
 

@@ -15,3 +15,14 @@ def test_all_is_defined_in_its_module_and_reexported(name):
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert obj.__module__ == module.__name__, public
         assert getattr(ineqif, public, None) is obj, public
+
+
+def test_every_exported_function_and_class_is_in_its_modules_all():
+    for public in dir(ineqif):
+        obj = getattr(ineqif, public)
+        if public.startswith("_") or not (inspect.isfunction(obj)
+                                          or inspect.isclass(obj)):
+            continue
+        module = importlib.import_module(obj.__module__)
+        if hasattr(module, "__all__"):
+            assert public in module.__all__, f"{module.__name__}.{public}"
