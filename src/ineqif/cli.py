@@ -155,6 +155,8 @@ def parse_grid(spec: str) -> np.ndarray:
     except ValueError:
         raise InvalidParameter(f"bad grid numbers in {spec!r}") from None
     spacing = parts[3].lower()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameter(f"grid bounds must be finite, got {spec!r}")
     if count < 1:
         raise InvalidParameter(f"grid count must be >= 1, got {count}")
     if not lo < hi and count > 1:
@@ -544,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args) -> RunConfig:
     if args.tol is not None:
-        if not args.tol > 0:
-            raise InvalidParameter("--tol must be > 0")
+        if not 0 < args.tol < math.inf:
+            raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
         tol = Tolerance(abs_tol=min(args.tol * 1e-3, 1e-10),
                         rel_tol=1e-9,
                         max_subdivisions=DEFAULT_TOL.max_subdivisions)

@@ -12,12 +12,13 @@ exact linearity in eps.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidParameter
 # bisect_nondecreasing is unused here; the benchmark tracer patches this name.
@@ -38,6 +39,25 @@ __all__ = [
     "scaled",
     "translated",
 ]
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: it is most of the import time
+    of the package, and only lognormal draws and QSR grids (`ndtri` on
+    arrays) and Singh-Maddala partial means (`betainc`) need it."""
+    from scipy import special
+    return special
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_erfc_array = np.frompyfunc(math.erfc, 1, 1)
+_inv_ncdf = NormalDist().inv_cdf
+
+
+def _ncdf(u: float) -> float:
+    """Standard normal cdf, accurate in the lower tail."""
+    return 0.5 * math.erfc(-u * _SQRT_HALF)
 
 
 def _fmt(v: float) -> str:
@@ -287,7 +307,8 @@ class LogNormal(Distribution):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         safe = np.where(x > 0, x, 1.0)
-        val = special.ndtr((np.log(safe) - self.log_mean) / self.sigma)
+        u = (np.log(safe) - self.log_mean) / self.sigma
+        val = 0.5 * np.asarray(_erfc_array(-u * _SQRT_HALF), dtype=float)
         return np.where(x > 0, val, 0.0)
 
     def pdf(self, x):
@@ -303,11 +324,11 @@ class LogNormal(Distribution):
             return 0.0
         if p == 1.0:
             return math.inf
-        return math.exp(self.log_mean + self.sigma * special.ndtri(p))
+        return math.exp(self.log_mean + self.sigma * _inv_ncdf(p))
 
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
-        return np.exp(self.log_mean + self.sigma * special.ndtri(ps))
+        return np.exp(self.log_mean + self.sigma * _special().ndtri(ps))
 
     def _mean(self):
         return math.exp(self.log_mean + 0.5 * self.sigma ** 2)
@@ -318,7 +339,7 @@ class LogNormal(Distribution):
         if math.isinf(t):
             return self.mean()
         u = (math.log(t) - self.log_mean - self.sigma ** 2) / self.sigma
-        return self.mean() * float(special.ndtr(u))
+        return self.mean() * _ncdf(u)
 
     def descriptor(self):
         return f"lognormal:{_fmt(self.log_mean)},{_fmt(self.sigma)}"
@@ -390,7 +411,7 @@ class SinghMaddala(Distribution):
             return self.mean()
         w = (t / self.b) ** self.a
         u = w / (1.0 + w)
-        frac = float(special.betainc(1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u))
+        frac = float(_special().betainc(1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u))
         return self.mean() * frac
 
     def descriptor(self):
@@ -527,7 +548,7 @@ class Empirical(Distribution):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise InvalidParameter("empirical distribution needs n >= 1 observations")
-        if np.any(np.diff(vals) < 0):
+        if (vals[1:] < vals[:-1]).any():
             raise InvalidParameter("empirical observations must be sorted")
         # sorted, so the ends bound the values; the mean is NaN iff one is
         if vals[0] < 0:

@@ -260,8 +260,8 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
     zs = np.asarray(list(grid), dtype=float)
     if zs.size == 0:
         raise InvalidParameter("grid must contain at least one point")
-    if np.any(zs < 0) or np.any(np.diff(zs) <= 0):
-        raise InvalidParameter("grid must be strictly increasing and >= 0")
+    if not (np.isfinite(zs).all() and zs[0] >= 0 and (zs[1:] > zs[:-1]).all()):
+        raise InvalidParameter("grid must be finite, strictly increasing and >= 0")
 
     T = parse_measure_id(measure_id)
     closed = np.full(zs.shape, np.nan)

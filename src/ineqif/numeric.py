@@ -38,10 +38,10 @@ class Tolerance:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise InvalidParameter(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not (self.rel_tol > 0):
-            raise InvalidParameter(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0 < self.abs_tol < math.inf:
+            raise InvalidParameter(f"abs_tol must be finite and > 0, got {self.abs_tol}")
+        if not 0 < self.rel_tol < math.inf:
+            raise InvalidParameter(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise InvalidParameter(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}"

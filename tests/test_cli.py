@@ -306,6 +306,26 @@ class TestExitCodes:
         assert main(command.split()) == 1
         assert "InvalidParameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "if-curve --id theil --dist exp:1 --grid 1:inf:3:lin",
+        "if-curve --id theil --dist exp:1 --grid 0.5:inf:3:log",
+        "if-curve --id theil --dist exp:1 --grid=-inf:1:3:lin",
+        "if-curve --id theil --dist exp:1 --grid nan:1:3:lin",
+        "if-curve --id theil --dist exp:1 --grid 1:nan:1:lin",
+        "verify --ids theil --dist exp:1 --grid 1:inf:2:lin",
+        "compare-ge --alpha 2 --dist exp:1 --grid 1:inf:2:lin",
+    ])
+    def test_non_finite_grid_bound_is_a_usage_error(self, command, capsys):
+        assert main(command.split()) == 1
+        assert "grid bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-5"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        # an infinite --tol would pass the known-wrong appendix Gini row
+        assert main(["verify", "--ids", "gini", "--dist", "uniform:0,1",
+                     f"--tol={tol}"]) == 1
+        assert "--tol must be finite and > 0" in capsys.readouterr().err
+
     def test_usage_unknown_flag(self):
         assert main(["measure", "--id", "theil", "--dist", "exp:1",
                      "--wat"]) == 1

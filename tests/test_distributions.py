@@ -213,6 +213,48 @@ class TestQuantile:
         np.testing.assert_allclose(arr, scalars, rtol=1e-13)
 
 
+class TestLogNormalAgainstMpmath:
+    """The normal cdf (math.erfc) and its scalar inverse (NormalDist)
+    against 50-digit mpmath, down to Phi(-37) ~ 6e-300."""
+
+    F = make_distribution("lognormal", 0.0, 1.0)
+
+    def test_cdf_relative_error_in_both_tails(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.exp(np.linspace(-37.0, 8.0, 451))
+        arr = np.asarray(self.F.cdf(xs))
+        with mpmath.workdps(50):
+            for x, value in zip(xs, arr):
+                exact = mpmath.ncdf(mpmath.log(mpmath.mpf(float(x))))
+                for got in (value, float(self.F.cdf(float(x)))):
+                    assert abs(float((got - exact) / exact)) <= 1e-12
+
+    def test_partial_mean_relative_error_in_the_lower_tail(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for u in np.linspace(-36.0, 8.0, 45):
+                t = math.exp(u + 1.0)
+                exact = mpmath.exp(0.5) * mpmath.ncdf(
+                    mpmath.log(mpmath.mpf(t)) - 1)
+                got = self.F.partial_mean(t)
+                assert abs(float((got - exact) / exact)) <= 1e-12
+
+    def test_scalar_quantile_matches_array_and_exact_inverse(self):
+        # Compared in the exponent log Q(p) = z(p): exp turns the one-ulp
+        # rounding of z ~ -37 into 1e-14 relative on Q itself.
+        mpmath = pytest.importorskip("mpmath")
+        ps = np.concatenate([np.geomspace(1e-300, 0.5, 151),
+                             1.0 - np.geomspace(0.25, 1e-12, 60)])
+        scalar = np.log([self.F.quantile(float(p)) for p in ps])
+        np.testing.assert_allclose(scalar, np.log(self.F.quantile_array(ps)),
+                                   rtol=1e-14, atol=1e-15)
+        with mpmath.workdps(50):
+            exact = [float(mpmath.findroot(
+                lambda z, p=mpmath.mpf(float(p)): mpmath.ncdf(z) - p,
+                mpmath.mpf(z0))) for p, z0 in zip(ps, scalar)]
+        np.testing.assert_allclose(scalar, exact, rtol=1e-14, atol=1e-15)
+
+
 class TestMoments:
     @pytest.mark.parametrize("kind,params", PARAMETRIC)
     def test_closed_form_mean_matches_quadrature(self, kind, params):

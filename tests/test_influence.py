@@ -230,6 +230,12 @@ class TestIFCurve:
         with pytest.raises(InvalidParameter):
             if_curve("mld", make_distribution("exp", 1.0), [])
 
+    @pytest.mark.parametrize("grid", [[1.0, math.inf], [1.0, math.nan, 2.0],
+                                      [math.nan], [-1.0, 1.0], [1.0, 1.0]])
+    def test_non_finite_or_unordered_grid_rejected(self, grid):
+        with pytest.raises(InvalidParameter, match="grid must be finite"):
+            if_curve("theil", make_distribution("exp", 1.0), grid)
+
     def test_per_point_failures_recorded_not_fatal(self):
         F = make_distribution("uniform", 0.0, 1.0)
         curve = if_curve("qsr", F, [0.1, 0.2, 0.5])  # 0.2 is a kink

@@ -31,6 +31,10 @@ class TestTolerance:
         {"abs_tol": -1e-3},
         {"rel_tol": 0.0},
         {"max_subdivisions": 0},
+        {"abs_tol": math.inf},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"rel_tol": math.nan},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InvalidParameter):
