@@ -400,10 +400,12 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
             max_err = 0.0
             ok = True
             evaluated = 0
+            failure = None
             for z, oracle_value in oracle.items():
                 try:
                     closed = evaluator(F, z, cfg.tol, spec)
-                except IneqError:
+                except IneqError as exc:
+                    failure = exc
                     continue
                 evaluated += 1
                 err = abs(closed - oracle_value)
@@ -413,6 +415,7 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
             verdict = "PASS" if ok and evaluated else "FAIL"
             if not evaluated:
                 verdict = "SKIP"
+                note = f"closed form: {failure}"
             rows.append({
                 "measure_id": T.id, "formula_source": source,
                 "normative": normative,

@@ -51,7 +51,6 @@ def _special():
 
 
 _SQRT_HALF = math.sqrt(0.5)
-_erfc_array = np.frompyfunc(math.erfc, 1, 1)
 _inv_ncdf = NormalDist().inv_cdf
 
 
@@ -308,7 +307,9 @@ class LogNormal(Distribution):
         x = np.asarray(x, dtype=float)
         safe = np.where(x > 0, x, 1.0)
         u = (np.log(safe) - self.log_mean) / self.sigma
-        val = 0.5 * np.asarray(_erfc_array(-u * _SQRT_HALF), dtype=float)
+        w = -u * _SQRT_HALF
+        val = 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float,
+                                count=w.size).reshape(w.shape)
         return np.where(x > 0, val, 0.0)
 
     def pdf(self, x):

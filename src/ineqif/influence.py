@@ -130,8 +130,16 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
     mu, eh = fv.mu, fv.eh
     h1_mu = float(spec.h1(mu))
     slope = float(spec.tau_prime(fv.index_arg))
-    lever = -(float(spec.h1_prime(mu)) * eh / (h1_mu * h1_mu)
-              + float(spec.h2_prime(mu)))
+    # h1(mu) != 0 was checked by functional_value, but its square may still
+    # underflow (kolm:1 on sm:2,1000,3: mu = 589, h1(mu) ~ 1.5e-256).
+    h1_sq = h1_mu * h1_mu
+    lever = (-(float(spec.h1_prime(mu)) * eh / h1_sq + float(spec.h2_prime(mu)))
+             if h1_sq != 0.0 else math.nan)
+    if not math.isfinite(lever):
+        raise DegenerateDenominator(
+            f"IF lever is {lever!r} (h1(mu)^2={h1_sq!r}) for "
+            f"{spec.measure_id} at mu={mu!r}"
+        )
 
     def theil_like_if(xs):
         xs = np.asarray(xs, dtype=float)

@@ -341,6 +341,23 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "MomentDiverges"
 
+    def test_underflowing_kolm_lever_is_a_numeric_error(self, capsys):
+        # h1(mu) = e^{-mu} ~ 1e-256 passes functional_value's check, but
+        # the IF divides by h1(mu)^2, which underflows to 0
+        rc = main(["variance", "--ids", "kolm:1", "--dist", "sm:2,1000,3",
+                   "--format", "json"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "DegenerateDenominator"
+
+    def test_unbuildable_closed_form_skip_names_the_reason(self, capsys):
+        assert main(["verify", "--ids", "kolm:1", "--dist", "sm:2,1000,3",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        normative = [r for r in rows if r["normative"]]
+        assert [r["verdict"] for r in normative] == ["SKIP"]
+        assert "h1(mu)^2=0.0" in normative[0]["note"]
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_input_exits_one(self, tmp_path, capsys, kind):
         path = tmp_path / "incomes.csv"

@@ -13,6 +13,7 @@ from ineqif import (
     translated,
 )
 from ineqif.cli import parse_distribution
+from ineqif.distributions import _ncdf
 from ineqif.errors import InvalidParameter
 
 PARAMETRIC = [
@@ -253,6 +254,16 @@ class TestLogNormalAgainstMpmath:
                 lambda z, p=mpmath.mpf(float(p)): mpmath.ncdf(z) - p,
                 mpmath.mpf(z0))) for p, z0 in zip(ps, scalar)]
         np.testing.assert_allclose(scalar, exact, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (15,), (2, 15)])
+    def test_array_cdf_is_the_scalar_normal_cdf_per_element(self, shape):
+        F = make_distribution("lognormal", 0.3, 0.8)
+        xs = np.exp(np.linspace(-6.0, 6.0, math.prod(shape))).reshape(shape)
+        u = (np.log(xs) - F.log_mean) / F.sigma
+        got = F.cdf(xs)
+        assert got.shape == shape and got.dtype == float
+        expected = [_ncdf(v) for v in u.ravel().tolist()]
+        assert got.ravel().tolist() == expected
 
 
 class TestMoments:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ineqif.distributions import Exponential, LogNormal, SinghMaddala
 from ineqif.errors import (
     InvalidInterval,
     InvalidParameter,
@@ -18,6 +20,7 @@ from ineqif.numeric import (
     derivative_at_zero_plus,
     integrate,
 )
+from ineqif.numeric import _WG, _WGK, _XGK, _make_evaluator
 
 
 class TestTolerance:
@@ -92,6 +95,153 @@ class TestIntegrate:
         whole = integrate(g, 0.0, 2.0)
         parts = integrate(g, 0.0, split) + integrate(g, split, 2.0)
         assert whole == pytest.approx(parts, abs=2e-10)
+
+
+# The adaptive loop as it was with one Gauss-Kronrod panel per integrand
+# call. The paired-panel `integrate` must follow the same panel sequence.
+_REF_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_REF_WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_REF_GAUSS_IDX = np.arange(1, 15, 2)
+_REF_WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
+
+
+def _reference_gk15(evaluate, a, b):
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        fx = evaluate(centre + half * _REF_NODES)
+        resk = half * float(_REF_WEIGHTS_K @ fx)
+        resg = half * float(_REF_WEIGHTS_G @ fx[_REF_GAUSS_IDX])
+        err = abs(resk - resg)
+        resasc = half * float(_REF_WEIGHTS_K @ np.abs(fx - resk / (b - a)))
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        resabs = half * float(_REF_WEIGHTS_K @ np.abs(fx))
+    round_off = 50.0 * np.finfo(float).eps * resabs
+    return resk, max(err, round_off)
+
+
+def _reference_integrate(g, a, b, tol=DEFAULT_TOL):
+    """(value, splits) of the one-panel-per-call loop."""
+    if math.isnan(a) or math.isnan(b) or math.isinf(a):
+        raise InvalidInterval(f"invalid interval ({a}, {b})")
+    if not a < b:
+        raise InvalidInterval(f"need a < b, got ({a}, {b})")
+    if math.isinf(b):
+        base = _make_evaluator(g)
+
+        def evaluate(ts):
+            w = 1.0 - ts
+            return base(a + ts / w) / (w * w)
+
+        lo, hi = 0.0, 1.0
+    else:
+        evaluate, lo, hi = _make_evaluator(g), float(a), float(b)
+
+    value, err = _reference_gk15(evaluate, lo, hi)
+    if not math.isfinite(value):
+        raise NonConvergence("non-finite integrand values", value, math.inf)
+    heap = [(-err, 0, lo, hi, value, err)]
+    counter = 1
+    total_value, total_err = value, err
+    splits = 0
+    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_value)):
+        if splits >= tol.max_subdivisions:
+            raise NonConvergence("budget exhausted", total_value, total_err)
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb):
+            raise NonConvergence("too small", total_value, total_err)
+        v1, e1 = _reference_gk15(evaluate, pa, mid)
+        v2, e2 = _reference_gk15(evaluate, mid, pb)
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise NonConvergence("non-finite integrand values", total_value, math.inf)
+        total_value += (v1 + v2) - pval
+        total_err += (e1 + e2) - perr
+        heapq.heappush(heap, (-e1, counter, pa, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, pb, v2, e2))
+        counter += 2
+        splits += 1
+    return total_value, splits
+
+
+def _recording(g):
+    """g, plus the list of node counts of each call made to it."""
+    sizes = []
+
+    def recorded(x):
+        sizes.append(np.size(x))
+        return g(x)
+
+    return recorded, sizes
+
+
+def _moment(F, h):
+    return lambda x: h(x) * F.pdf(x)
+
+
+_MODELS = [Exponential(1.0), LogNormal(0.0, 0.5), SinghMaddala(2.0, 1.0, 3.0)]
+_MOMENT_CASES = [
+    pytest.param(_moment(F, h), a, b, id=f"{F.descriptor()}-{hid}-{a}-{b}")
+    for F in _MODELS
+    for hid, h in [("x", lambda x: x), ("xlogx", lambda x: x * np.log(x)),
+                   ("x^2", lambda x: x * x)]
+    for a, b in [(0.0, 3.0), (0.0, math.inf)]
+] + [pytest.param(lambda x: x ** -0.5, 0.0, 1.0, id="x^-0.5")]
+
+
+class TestPairedPanels:
+    """integrate evaluates both halves of a split panel in one call and
+    must otherwise match the one-panel-per-call loop."""
+
+    @pytest.mark.parametrize("g, a, b", _MOMENT_CASES)
+    def test_matches_one_panel_reference(self, g, a, b):
+        ref_g, ref_sizes = _recording(g)
+        ref_value, splits = _reference_integrate(ref_g, a, b)
+        new_g, new_sizes = _recording(g)
+        value = integrate(new_g, a, b)
+        assert type(value) is float
+        assert sum(new_sizes) == sum(ref_sizes)
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+        # one call for the first panel, then one call per split
+        assert new_sizes == [15] + [30] * splits
+
+    def test_budget_exhaustion_matches_reference(self):
+        g = lambda x: 1.0 / x
+        tol = Tolerance(max_subdivisions=5)
+        with pytest.raises(NonConvergence):
+            _reference_integrate(g, 0.0, 1.0, tol)
+        with pytest.raises(NonConvergence) as excinfo:
+            integrate(g, 0.0, 1.0, tol)
+        assert "subdivision budget 5 exhausted" in str(excinfo.value)
+
+    @pytest.mark.parametrize("g", [
+        lambda x: np.full(np.shape(x), np.nan),
+        lambda x: np.where(np.asarray(x) > 0.7, np.inf, 1.0),
+    ], ids=["nan", "inf-on-a-later-panel"])
+    def test_non_finite_integrand_matches_reference(self, g):
+        with pytest.raises(NonConvergence):
+            _reference_integrate(g, 0.0, 1.0)
+        with pytest.raises(NonConvergence) as excinfo:
+            integrate(g, 0.0, 1.0)
+        assert "non-finite integrand values" in str(excinfo.value)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 2.0), (math.inf, 3.0),
+                                      (0.0, math.nan)])
+    def test_invalid_interval_matches_reference(self, a, b):
+        with pytest.raises(InvalidInterval):
+            _reference_integrate(lambda x: x, a, b)
+        with pytest.raises(InvalidInterval):
+            integrate(lambda x: x, a, b)
+
+    def test_scalar_only_integrand(self):
+        g = lambda x: math.exp(-x) * math.sqrt(x)
+        value = integrate(g, 0.0, 4.0)
+        ref_value, _ = _reference_integrate(g, 0.0, 4.0)
+        assert type(value) is float
+        assert value == pytest.approx(ref_value, rel=1e-13)
+        assert value == pytest.approx(
+            math.gamma(1.5) * math.erf(2.0) - 2.0 * math.exp(-4.0), rel=1e-9)
 
 
 class TestDerivativeAtZeroPlus:
