@@ -6,7 +6,8 @@ Distributions are given with the mini-grammar kind:param[,param...]
 income files as one-value-per-row CSV. Reports are CSV (fixed 6-decimal
 summary columns) or JSON (full-precision values) and always carry the
 schema version, registry version and seed. Exit codes: 0 ok, 1 usage
-error, 2 numeric failure, 3 verification failure.
+error, 2 numeric failure (in measure and variance: of any one id, whose row
+then carries the error), 3 verification failure.
 """
 from __future__ import annotations
 
@@ -302,19 +303,36 @@ def _payload(cfg: RunConfig, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _emit_results(cfg: RunConfig, source: dict, column: str, compute) -> int:
+    """One result row per measure id. An id whose evaluation fails keeps
+    its row, with a null value and its own error; the payload also carries
+    the first failure as its `error` object, and the command exits 2."""
+    rows, first = [], None
+    for T in cfg.measures:
+        try:
+            rows.append({"measure_id": T.id, column: compute(T)})
+        except _NUMERIC_FAILURES as exc:
+            first = first or exc
+            message = f"{type(exc).__name__}: {exc}"
+            rows.append({"measure_id": T.id, column: None, "error": message})
+            sys.stderr.write(f"error: {T.id}: {message}\n")
+    columns = ["measure_id", column]
+    if first is None:
+        _emit(cfg, _payload(cfg, **source, results=rows), columns, rows)
+        return EXIT_OK
+    payload = _payload(cfg, **source, results=rows, error=_error_object(first))
+    _emit(cfg, payload, columns + ["error"], rows)
+    return EXIT_NUMERIC
+
+
 def _cmd_measure(cfg: RunConfig) -> int:
-    rows = []
     if cfg.input_path is not None:
         F = ingest_csv(cfg.input_path)
         source = {"input": cfg.input_path, "n": F.n}
     else:
         F = cfg.distribution()
         source = {"distribution": F.descriptor()}
-    for T in cfg.measures:
-        rows.append({"measure_id": T.id, "value": T.evaluate(F, cfg.tol)})
-    payload = _payload(cfg, **source, results=rows)
-    _emit(cfg, payload, ["measure_id", "value"], rows)
-    return EXIT_OK
+    return _emit_results(cfg, source, "value", lambda T: T.evaluate(F, cfg.tol))
 
 
 def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
@@ -349,13 +367,8 @@ def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
 
 def _cmd_variance(cfg: RunConfig) -> int:
     F = cfg.distribution()
-    rows = []
-    for T in cfg.measures:
-        rows.append({"measure_id": T.id,
-                     "sigma2": asymptotic_variance(T, F, cfg.tol)})
-    payload = _payload(cfg, distribution=F.descriptor(), results=rows)
-    _emit(cfg, payload, ["measure_id", "sigma2"], rows)
-    return EXIT_OK
+    return _emit_results(cfg, {"distribution": F.descriptor()}, "sigma2",
+                         lambda T: asymptotic_variance(T, F, cfg.tol))
 
 
 def _verify_tolerance(abs_tol: float, closed: float) -> float:
@@ -606,11 +619,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERIC
 
 
+def _error_object(exc: Exception) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def _report_error(fmt: str, exc: Exception) -> None:
     if fmt == "json":
-        sys.stdout.write(render_json(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        ))
+        sys.stdout.write(render_json({"error": _error_object(exc)}))
     sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
 
 

@@ -5,6 +5,15 @@ point masses, empirical step distributions, and exact Dirac-contaminated
 mixtures. Every model exposes cdf/quantile/mean, generic expectations,
 partial means, the Lorenz curve, and the cumulative functional C(F, p).
 
+A parametric model computes its expectations in probability space, in the
+quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on finite
+intervals only. The upper half reads the inverse survival function
+Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and both ends
+are graded as p = u**8, which makes power-law ends regular integrands.
+The quantile carries the scale, so the quadrature nodes do not depend on
+it. Each kind keeps its density `pdf` as an independent x-space route for
+the tests.
+
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
 quadrature across the atom. The numerical Gateaux oracle depends on that
@@ -22,7 +31,13 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter
 # bisect_nondecreasing is unused here; the benchmark tracer patches this name.
-from .numeric import DEFAULT_TOL, Tolerance, bisect_nondecreasing, integrate  # noqa: F401
+from .numeric import (  # noqa: F401
+    DEFAULT_TOL,
+    Tolerance,
+    _make_evaluator,
+    bisect_nondecreasing,
+    integrate,
+)
 
 __all__ = [
     "Distribution",
@@ -53,10 +68,21 @@ def _special():
 _SQRT_HALF = math.sqrt(0.5)
 _inv_ncdf = NormalDist().inv_cdf
 
+# Both ends of the quantile form are graded as p = u**_GRADE: a power-law
+# end p**-b becomes u**(7 - 8b), regular for the moments that exist.
+_GRADE = 8
+
 
 def _ncdf(u: float) -> float:
     """Standard normal cdf, accurate in the lower tail."""
     return 0.5 * math.erfc(-u * _SQRT_HALF)
+
+
+def _probit(ps: np.ndarray) -> np.ndarray:
+    """Standard normal quantile per element, through the stdlib: quadrature
+    over a lognormal then loads no scipy."""
+    return np.fromiter(map(_inv_ncdf, ps.ravel().tolist()), float,
+                       count=ps.size).reshape(ps.shape)
 
 
 def _fmt(v: float) -> str:
@@ -94,6 +120,10 @@ class Distribution:
     def quantile(self, p: float) -> float:
         raise NotImplementedError
 
+    def isf_array(self, ss) -> np.ndarray:
+        """Q(1-s) on an array, exact as s -> 0 where 1-s would round to 1."""
+        raise NotImplementedError
+
     def _mean(self) -> float:
         raise NotImplementedError
 
@@ -110,7 +140,11 @@ class Distribution:
         return value
 
     def expect(self, g: Callable, tol: Tolerance = DEFAULT_TOL, key=None) -> float:
-        """E[g(X)]; results are cached per (key, tol) when a key is given."""
+        """E[g(X)]; results are cached per (key, tol) when a key is given.
+
+        On a parametric model this is the quantile form, the integral of
+        g(Q(p)) + g(Q(1-p)) over p in [0, 1/2] (see `_tails_integral`);
+        atomic models sum over their atoms exactly."""
         if key is not None:
             ck = ("expect", key, tol)
             hit = self._cache.get(ck)
@@ -122,8 +156,19 @@ class Distribution:
         return value
 
     def _expect_impl(self, g, tol: Tolerance) -> float:
-        return integrate(lambda x: np.asarray(g(x)) * self.pdf(x),
-                         self.lep, self.uep, tol)
+        return self._tails_integral(g, 0.0, 0.5, tol)
+
+    def _tails_integral(self, g, lo: float, hi: float, tol: Tolerance) -> float:
+        """integral over p in [lo, hi] of g(Q(p)) + g(Q(1-p)), for
+        0 <= lo < hi <= 1/2: the part of E g(X) that the probability
+        pieces [lo, hi] and [1-hi, 1-lo] carry. One adaptive integral in
+        u = p**(1/_GRADE), on a finite interval whatever the support."""
+        return integrate(_graded_tails(self, g), lo ** (1.0 / _GRADE),
+                         hi ** (1.0 / _GRADE), tol)
+
+    def _tail_quantiles(self, ps: np.ndarray):
+        """(Q(p), Q(1-p)) on an array of p in (0, 1/2]."""
+        return self.quantile_array(ps), self.isf_array(ps)
 
     def mass(self, x: float) -> float:
         """Probability mass of the atom at x (0 for continuous kinds)."""
@@ -161,6 +206,26 @@ class Distribution:
         if p == 0.0:
             return 0.0
         return self.partial_mean(self.quantile(p), tol)
+
+
+def _graded_tails(F: Distribution, g):
+    """u -> (g(Q(p)) + g(Q(1-p))) dp/du at p = u**_GRADE, on arrays of u.
+
+    A node whose p underflows to 0 adds nothing: for a moment that
+    exists the integrand vanishes there, and g at an end of the support
+    may be infinite (log 0) or undefined (0 * inf)."""
+    evaluate = _make_evaluator(g)
+
+    def integrand(us: np.ndarray) -> np.ndarray:
+        ps = us ** _GRADE
+        inside = ps > 0.0
+        low, high = F._tail_quantiles(np.where(inside, ps, 0.5))
+        gx = evaluate(np.concatenate((low, high)))
+        n = us.size
+        dp = _GRADE * us ** (_GRADE - 1)
+        return np.where(inside, (gx[:n] + gx[n:]) * dp, 0.0)
+
+    return integrand
 
 
 def _check_prob(p: float) -> float:
@@ -210,6 +275,9 @@ class Exponential(Distribution):
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
         return -np.log1p(-ps) / self.rate
+
+    def isf_array(self, ss):
+        return -np.log(np.asarray(ss, dtype=float)) / self.rate
 
     def _mean(self):
         return 1.0 / self.rate
@@ -269,6 +337,9 @@ class Pareto(Distribution):
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
         return self.scale * (1.0 - ps) ** (-1.0 / self.shape)
+
+    def isf_array(self, ss):
+        return self.scale * np.asarray(ss, dtype=float) ** (-1.0 / self.shape)
 
     def _mean(self):
         return self.shape * self.scale / (self.shape - 1.0)
@@ -330,6 +401,15 @@ class LogNormal(Distribution):
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
         return np.exp(self.log_mean + self.sigma * _special().ndtri(ps))
+
+    def isf_array(self, ss):
+        ss = np.asarray(ss, dtype=float)
+        return np.exp(self.log_mean - self.sigma * _probit(ss))
+
+    def _tail_quantiles(self, ps):
+        # one stdlib probit serves both tails (ndtri would load scipy)
+        z = self.sigma * _probit(ps)
+        return np.exp(self.log_mean + z), np.exp(self.log_mean - z)
 
     def _mean(self):
         return math.exp(self.log_mean + 0.5 * self.sigma ** 2)
@@ -398,6 +478,10 @@ class SinghMaddala(Distribution):
         ps = np.asarray(ps, dtype=float)
         return self.b * np.expm1(-np.log1p(-ps) / self.q) ** (1.0 / self.a)
 
+    def isf_array(self, ss):
+        ss = np.asarray(ss, dtype=float)
+        return self.b * np.expm1(-np.log(ss) / self.q) ** (1.0 / self.a)
+
     def _mean(self):
         return self.b * math.exp(
             math.lgamma(1.0 + 1.0 / self.a)
@@ -456,6 +540,9 @@ class Uniform(Distribution):
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
         return self.lo + ps * (self.hi - self.lo)
+
+    def isf_array(self, ss):
+        return self.hi - np.asarray(ss, dtype=float) * (self.hi - self.lo)
 
     def _mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -682,10 +769,6 @@ class Contaminated(Distribution):
         x = np.asarray(x, dtype=float)
         return (1.0 - self.epsilon) * self.base.cdf(x) \
             + self.epsilon * (x >= self.z)
-
-    def pdf(self, x):
-        # density of the absolutely continuous part only
-        return (1.0 - self.epsilon) * self.base.pdf(x)
 
     def quantile(self, p):
         # Exact generalized inverse of G = w*F + eps*1{x >= z}: the scaled

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ineqif.cli as cli
 from ineqif import (
+    DEFAULT_MEASURE_IDS,
     Empirical,
     functional_value,
     if_special,
@@ -375,6 +376,56 @@ class TestExitCodes:
     def test_ingest_errors_exit_one(self, tmp_path):
         bad = write(tmp_path, "neg.csv", "1\n-2\n")
         assert main(["measure", "--id", "theil", "--input", bad]) == 1
+
+
+class TestPerIdErrors:
+    """measure and variance keep every row when one id fails."""
+
+    DOLLARS = "income\n31000\n42000\n55000\n68000\n120000\n"
+
+    def test_failing_id_keeps_the_other_rows(self, tmp_path, capsys):
+        # kolm:1's h1(mu) = e^{-mu} underflows to 0 at mu = 63200
+        data = write(tmp_path, "dollars.csv", self.DOLLARS)
+        assert main(["measure", "--ids", "all", "--input", data,
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        rows = {r["measure_id"]: r for r in payload["results"]}
+        assert list(rows) == list(DEFAULT_MEASURE_IDS)
+        assert rows["kolm:1"]["value"] is None
+        assert rows["kolm:1"]["error"].startswith("DegenerateDenominator: ")
+        assert payload["error"]["type"] == "DegenerateDenominator"
+        assert "kolm:1" in captured.err
+        sample = ingest_csv(data)
+        for mid, row in rows.items():
+            if mid != "kolm:1":
+                assert "error" not in row
+                assert row["value"] == parse_measure_id(mid).evaluate(sample)
+
+    def test_failing_id_in_csv_gets_an_error_column(self, tmp_path, capsys):
+        data = write(tmp_path, "dollars.csv", self.DOLLARS)
+        assert main(["measure", "--ids", "gini,kolm:1", "--input", data]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "measure_id,value,error"
+        assert lines[1] == "gini,0.258228,"
+        assert lines[2].startswith("kolm:1,,DegenerateDenominator: ")
+
+    def test_variance_keeps_the_other_rows(self, capsys):
+        assert main(["variance", "--ids", "gini,kolm:1", "--dist",
+                     "sm:2,1000,3", "--format", "json"]) == 2
+        gini_row, kolm_row = json.loads(capsys.readouterr().out)["results"]
+        assert gini_row["sigma2"] > 0 and "error" not in gini_row
+        assert kolm_row["sigma2"] is None
+        assert kolm_row["error"].startswith("DegenerateDenominator: ")
+
+    def test_lognormal_at_income_scale(self, capsys):
+        # the x-space quadrature returned -1, -10.125 and 10.125 here
+        assert main(["measure", "--ids", "gini,theil,mld", "--dist",
+                     "lognormal:10,0.5", "--format", "json"]) == 0
+        values = [r["value"]
+                  for r in json.loads(capsys.readouterr().out)["results"]]
+        assert values == pytest.approx([math.erf(0.25), 0.125, 0.125],
+                                       rel=1e-9)
 
 
 class TestIfCurveCommand:
