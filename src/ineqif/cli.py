@@ -43,7 +43,6 @@ from .estimation import RngStream, mc_variance_study
 from .influence import (
     asymptotic_variance,
     default_grid,
-    gateaux_if,
     if_curve,
     if_special,
     printed_variants,
@@ -144,7 +143,8 @@ def parse_distribution(spec: str) -> Distribution:
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse min:max:count:log|lin into a grid of z values."""
+    """Parse min:max:count:log|lin into a grid of z values; points that
+    round to one float are one point."""
     parts = str(spec).split(":")
     if len(parts) != 4:
         raise InvalidParameter(
@@ -163,11 +163,11 @@ def parse_grid(spec: str) -> np.ndarray:
     if not lo < hi and count > 1:
         raise InvalidParameter(f"grid needs min < max, got {spec!r}")
     if spacing == "lin":
-        return np.linspace(lo, hi, count)
+        return np.unique(np.linspace(lo, hi, count))
     if spacing == "log":
         if lo <= 0:
             raise InvalidParameter("log grid needs min > 0")
-        return np.geomspace(lo, hi, count)
+        return np.unique(np.geomspace(lo, hi, count))
     raise InvalidParameter(f"grid spacing must be log or lin, got {spacing!r}")
 
 
@@ -371,8 +371,48 @@ def _cmd_variance(cfg: RunConfig) -> int:
                          lambda T: asymptotic_variance(T, F, cfg.tol))
 
 
-def _verify_tolerance(abs_tol: float, closed: float) -> float:
-    return max(abs_tol, VERIFY_REL_SLACK * abs(closed))
+def _formula_sources(T: MeasureFunctional) -> list:
+    """(source, normative, note, evaluate(F, z, tol, spec)) for theorem1,
+    the normative closed form, and for each printed display of T."""
+    theorem1 = lambda F, z, tol, spec: if_special(T, F, z, tol)
+    return [("theorem1", True, None, theorem1)] + [
+        (v.source, False, v.note, v.evaluate) for v in printed_variants(T)]
+
+
+def _oracle_points(cfg: RunConfig, F: Distribution, T: MeasureFunctional):
+    """The grid points where the Gateaux oracle evaluates, as Python floats,
+    and its values there, read from if_curve. T(F) is evaluated first: its
+    failure raises here, once, instead of at every point."""
+    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
+    T.evaluate(F, cfg.tol)
+    curve = if_curve(T, F, grid, with_oracle=True, tol=cfg.tol)
+    kept = np.isfinite(curve.oracle)
+    return curve.grid[kept].tolist(), curve.oracle[kept]
+
+
+def _column(evaluate, F: Distribution, zs: list, tol: Tolerance, spec):
+    """One formula source at the oracle's points: its values, NaN where it
+    fails or is not finite, and the last such failure. A stray arithmetic
+    error of a printed display counts as a DomainError at its z."""
+    values, failure = np.full(len(zs), np.nan), None
+    for i, z in enumerate(zs):
+        try:
+            value = evaluate(F, z, tol, spec)
+            if not math.isfinite(value):
+                raise DomainError(f"IF is {value} at z={z}")
+            values[i] = value
+        except IneqError as exc:
+            failure = exc
+        except (ArithmeticError, ValueError) as exc:
+            failure = DomainError(f"{type(exc).__name__} at z={z}: {exc}")
+    return values, failure
+
+
+def _gate(values: np.ndarray, oracle: np.ndarray, abs_tol: float):
+    """|v - oracle| and the tolerance it must not exceed,
+    max(abs_tol, VERIFY_REL_SLACK * |v|); abs_tol alone where v is NaN."""
+    return (np.abs(values - oracle),
+            np.fmax(abs_tol, VERIFY_REL_SLACK * np.abs(values)))
 
 
 def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
@@ -380,70 +420,30 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
     rows = []
     any_normative_fail = False
     for T in cfg.measures:
-        grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
-        # oracle values once per grid point, shared by all formula variants
-        oracle: dict[float, float] = {}
-        skip_reason = None
-        dropped_points = 0
         try:
-            for z in grid:
-                try:
-                    oracle[float(z)] = gateaux_if(T, F, float(z),
-                                                  tol=cfg.tol).value
-                except (NoisyLimit, KinkPoint, DomainError):
-                    dropped_points += 1
-        except (MomentDiverges, NonConvergence, DegenerateDenominator) as exc:
-            skip_reason = str(exc)
-        if skip_reason is None and not oracle:
-            skip_reason = "no oracle-evaluable grid points"
-        sources = [("theorem1", True, None,
-                    lambda Fd, z, tol, spec, _T=T: if_special(_T, Fd, z, tol))]
-        for variant in printed_variants(T):
-            sources.append((variant.source, False, variant.note,
-                            variant.evaluate))
-        spec = T.spec
-        for source, normative, note, evaluator in sources:
-            if skip_reason is not None:
-                rows.append({
-                    "measure_id": T.id, "formula_source": source,
-                    "normative": normative, "max_abs_err": None,
-                    "verdict": "SKIP", "note": skip_reason,
-                })
-                continue
-            max_err = 0.0
-            ok = True
-            evaluated = 0
-            failure = None
-            for z, oracle_value in oracle.items():
-                try:
-                    closed = evaluator(F, z, cfg.tol, spec)
-                except IneqError as exc:
-                    failure = exc
-                    continue
-                evaluated += 1
-                err = abs(closed - oracle_value)
-                max_err = max(max_err, err)
-                if err > _verify_tolerance(abs_tol, closed):
-                    ok = False
-            verdict = "PASS" if ok and evaluated else "FAIL"
-            if not evaluated:
-                verdict = "SKIP"
-                note = f"closed form: {failure}"
-            rows.append({
-                "measure_id": T.id, "formula_source": source,
-                "normative": normative,
-                "max_abs_err": max_err if evaluated else None,
-                "verdict": verdict, "note": note,
-            })
-            if normative and verdict == "FAIL":
-                any_normative_fail = True
+            zs, oracle = _oracle_points(cfg, F, T)
+            skip = None if zs else "no oracle-evaluable grid points"
+        except _NUMERIC_FAILURES as exc:
+            skip = str(exc)
+        for source, normative, note, evaluate in _formula_sources(T):
+            row = {"measure_id": T.id, "formula_source": source,
+                   "normative": normative, "max_abs_err": None,
+                   "verdict": "SKIP", "note": skip}
+            if skip is None:
+                values, failure = _column(evaluate, F, zs, cfg.tol, T.spec)
+                err, bound = _gate(values, oracle, abs_tol)
+                if np.isnan(values).all():
+                    row["note"] = f"closed form: {failure}"
+                else:
+                    row.update(max_abs_err=float(np.nanmax(err)), note=note,
+                               verdict="FAIL" if (err > bound).any() else "PASS")
+            rows.append(row)
+            any_normative_fail |= normative and row["verdict"] == "FAIL"
     payload = _payload(cfg, distribution=F.descriptor(),
                        tolerance=abs_tol, rel_slack=VERIFY_REL_SLACK,
                        rows=rows)
-    _emit(cfg, payload,
-          ["measure_id", "formula_source", "normative", "max_abs_err",
-           "verdict", "note"],
-          rows)
+    _emit(cfg, payload, ["measure_id", "formula_source", "normative",
+                         "max_abs_err", "verdict", "note"], rows)
     return EXIT_VERIFY if any_normative_fail else EXIT_OK
 
 
@@ -461,44 +461,36 @@ def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
 
 
 def _cmd_compare_ge(cfg: RunConfig, alpha: float, abs_tol: float) -> int:
-    """Per-point view of the GE theorem1 and without_coefficient rows."""
+    """Per-point view of the theorem1 and without_coefficient rows of
+    `verify --ids ge:<alpha>`: one row per point where the oracle
+    evaluates. A failure of GE(F) itself exits 2; a formula that fails at
+    a point leaves a null cell there."""
     F = cfg.distribution()
     T = parse_measure_id(f"ge:{alpha!r}")
-    without = next(v for v in printed_variants(T)
-                   if v.source == "without_coefficient")
-    grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
-    rows = []
-    with_ok = True
-    without_max_excess = 0.0
-    for z in grid:
-        z = float(z)
-        with_c = if_special(T, F, z, cfg.tol)
-        without_c = without.evaluate(F, z, cfg.tol, T.spec)
-        oracle = gateaux_if(T, F, z, tol=cfg.tol).value
-        tol_z = _verify_tolerance(abs_tol, with_c)
-        err_with = abs(with_c - oracle)
-        err_without = abs(without_c - oracle)
-        if err_with > tol_z:
-            with_ok = False
-        without_max_excess = max(without_max_excess, err_without / tol_z)
-        rows.append({
-            "z": z, "if_with_coeff": with_c, "if_without_coeff": without_c,
-            "oracle": oracle, "abs_err_with": err_with,
-            "abs_err_without": err_without,
-        })
+    zs, oracle = _oracle_points(cfg, F, T)
+    with_c, without_c = (_column(evaluate, F, zs, cfg.tol, T.spec)[0]
+                         for source, _, _, evaluate in _formula_sources(T)
+                         if source in ("theorem1", "without_coefficient"))
+    err_with, bound = _gate(with_c, oracle, abs_tol)
+    err_without = np.abs(without_c - oracle)
+    with np.errstate(over="ignore"):  # an overflowing excess reads inf
+        excess = err_without / bound
+    columns = ["z", "if_with_coeff", "if_without_coeff", "oracle",
+               "abs_err_with", "abs_err_without"]
+    rows = [dict(zip(columns, cells)) for cells in zip(zs, *(
+        a.tolist() for a in (with_c, without_c, oracle, err_with, err_without)))]
     payload = _payload(
         cfg,
         distribution=F.descriptor(),
         alpha=alpha,
         tolerance=abs_tol,
-        with_coefficient_matches_oracle=with_ok,
-        without_coefficient_max_excess_over_tolerance=without_max_excess,
+        with_coefficient_matches_oracle=bool(
+            np.isfinite(with_c).any() and not (err_with > bound).any()),
+        without_coefficient_max_excess_over_tolerance=float(
+            np.fmax.reduce(excess, initial=0.0)),
         rows=rows,
     )
-    _emit(cfg, payload,
-          ["z", "if_with_coeff", "if_without_coeff", "oracle",
-           "abs_err_with", "abs_err_without"],
-          rows)
+    _emit(cfg, payload, columns, rows)
     return EXIT_OK
 
 

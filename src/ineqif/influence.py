@@ -297,6 +297,11 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
                 point_errors.append((i, f"oracle: {exc}"))
     if valid:
         closed[valid] = kernel(zs[valid])
+        for i in (i for i in valid if not math.isfinite(closed[i])):
+            point_errors.append((i, f"closed: IF is {closed[i]} at z={zs[i]}"))
+            closed[i] = math.nan
+        # grid order; at one point the closed error before the oracle's
+        point_errors.sort(key=lambda e: (e[0], e[1].startswith("oracle")))
 
     if with_oracle:
         both = np.isfinite(closed) & np.isfinite(oracle)
@@ -318,7 +323,8 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
 
 
 def default_grid(F: Distribution, measure_id, count: int = 20) -> np.ndarray:
-    """Default z grid: log-spaced between Q(0.01) and Q(0.99).
+    """Default z grid: log-spaced between Q(0.01) and Q(0.99), or the one
+    point Q(0.01) where the two coincide (a point mass).
 
     For the QSR the grid is built from probability levels kept clear of the
     quintile boundaries, where the IF is discontinuous.
@@ -338,7 +344,7 @@ def default_grid(F: Distribution, measure_id, count: int = 20) -> np.ndarray:
     lo = float(F.quantile(0.01))
     hi = float(F.quantile(0.99))
     lo = max(lo, 1e-9 * hi if hi > 0 else 1e-9)
-    if count == 1:
+    if count == 1 or not lo < hi:
         return np.array([lo])
     return np.geomspace(lo, hi, count)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -155,6 +157,14 @@ class TestParsers:
                     "0:1:x:lin"):
             with pytest.raises(InvalidParameter):
                 parse_grid(bad)
+
+    def test_grid_points_that_round_together_are_one(self, capsys):
+        assert parse_grid("1:1.0000000000000002:5:lin").tolist() == \
+            [1.0, 1.0000000000000002]
+        for argv in (["verify", "--ids", "theil"], ["if-curve", "--oracle",
+                                                    "--id", "theil"]):
+            assert main(argv + ["--dist", "exp:1", "--grid",
+                                "1:1.0000000000000002:5:lin"]) == 0
 
 
 class TestMeasureCommand:
@@ -517,6 +527,135 @@ class TestCompareGeCommand:
         assert table["normative"] is False and table["verdict"] == "FAIL"
         assert table["max_abs_err"] == max(r["abs_err_without"] for r in rows)
 
+
+def _json_run(argv, capsys):
+    rc = main(argv + ["--format", "json"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+class TestOneAdjudicationRoute:
+    """verify and compare-ge read the oracle column of if_curve."""
+
+    @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1",
+                                      "lognormal:0,0.5"])
+    def test_theorem1_row_is_the_with_column(self, spec, capsys):
+        rc, verify = _json_run(["verify", "--dist", spec, "--ids", "ge:2"],
+                               capsys)
+        assert rc == 0
+        rc, compare = _json_run(["compare-ge", "--dist", spec, "--alpha",
+                                 "2"], capsys)
+        assert rc == 0
+        theorem1 = next(r for r in verify["rows"]
+                        if r["formula_source"] == "theorem1")
+        assert theorem1["max_abs_err"] == max(r["abs_err_with"]
+                                              for r in compare["rows"])
+
+    def test_oracle_column_is_the_if_curve_oracle(self, capsys):
+        _, compare = _json_run(["compare-ge", "--dist", "exp:1", "--alpha",
+                                "2"], capsys)
+        _, curve = _json_run(["if-curve", "--dist", "exp:1", "--id", "ge:2",
+                              "--oracle"], capsys)
+        assert [(r["z"], r["oracle"]) for r in compare["rows"]] == \
+            [(r["z"], r["if_oracle"]) for r in curve["rows"]]
+
+    def test_point_mass_runs_on_one_point(self, capsys):
+        rc, verify = _json_run(["verify", "--dist", "dirac:1", "--ids",
+                                "ge:2"], capsys)
+        assert rc == 0
+        assert verify["rows"][0]["verdict"] == "PASS"
+        rc, compare = _json_run(["compare-ge", "--dist", "dirac:1",
+                                 "--alpha", "2"], capsys)
+        assert rc == 0
+        rc, curve = _json_run(["if-curve", "--dist", "dirac:1", "--id",
+                               "ge:2", "--oracle"], capsys)
+        assert rc == 0
+        assert [r["z"] for r in compare["rows"]] == [1.0]
+        assert [r["z"] for r in curve["rows"]] == [1.0]
+
+    def test_failing_measure_is_reported_before_point_errors(self, capsys):
+        # GE(-1) diverges on uniform:0,1; z = 0 is also outside h's domain
+        rc, payload = _json_run(["compare-ge", "--dist", "uniform:0,1",
+                                 "--alpha", "-1", "--grid", "0:1:3:lin"],
+                                capsys)
+        assert rc == 2
+        assert payload["error"]["type"] == "MomentDiverges"
+
+    def test_non_finite_if_is_never_agreement(self, capsys):
+        rc, payload = _json_run(["verify", "--dist", "pareto:3,1", "--ids",
+                                 "atkinson:-2", "--grid",
+                                 "1e-200:1e-160:2:log"], capsys)
+        assert rc == 0
+        theorem1 = payload["rows"][0]
+        assert theorem1["verdict"] == "SKIP"
+        assert theorem1["note"] == "closed form: IF is inf at z=1e-160"
+        rc, curve = _json_run(["if-curve", "--dist", "pareto:3,1", "--id",
+                               "atkinson:-2", "--oracle", "--grid",
+                               "1e-200:1e-160:2:log"], capsys)
+        assert rc == 0
+        assert curve["rows"][1]["if_closed"] is None
+        assert {"index": 1, "message": "closed: IF is inf at z=1e-160"} \
+            in curve["point_errors"]
+
+    def test_failing_formula_leaves_a_null_cell(self, capsys):
+        rc, payload = _json_run(["compare-ge", "--dist", "pareto:3,1",
+                                 "--alpha", "-2", "--grid",
+                                 "1e-156:1e-154:3:log"], capsys)
+        assert rc == 0
+        row = payload["rows"][0]
+        assert row["if_with_coeff"] is None and row["abs_err_with"] is None
+        assert row["oracle"] is not None
+        assert payload["with_coefficient_matches_oracle"] is False
+
+    def test_no_oracle_point_is_no_match(self, capsys):
+        rc, payload = _json_run(["compare-ge", "--dist", "uniform:0,1",
+                                 "--alpha", "-0.5", "--grid", "0:0:1:lin"],
+                                capsys)
+        assert rc == 0
+        assert payload["rows"] == []
+        assert payload["with_coefficient_matches_oracle"] is False
+
+    @pytest.mark.parametrize("argv", [
+        "verify --dist pareto:3,1 --ids atkinson:-2 --grid 1e-200:1:3:log",
+        "compare-ge --dist pareto:3,1 --alpha -2 --grid 1e-200:1:3:log",
+    ])
+    def test_overflowing_display_is_no_traceback(self, argv, capsys):
+        rc, _ = _json_run(argv.split(), capsys)
+        assert rc in (0, 2, 3)
+
+
+_FUZZ_IDS = ["theil", "mld", "ge:2", "ge:-2", "ge:-0.5", "atkinson:-2",
+             "atkinson:0.5", "champernowne", "kolm:1", "gini", "qsr"]
+
+
+class TestGridFuzz:
+    """The --grid grammar over the three oracle views: exit codes 0-3 only,
+    never a traceback, and JSON output that parses."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["verify", "compare-ge", "if-curve"]),
+           mid=st.sampled_from(_FUZZ_IDS),
+           alpha=st.sampled_from([2.0, 0.5, -0.5, -2.0]),
+           dist=st.sampled_from(["pareto:3,1", "exp:1", "lognormal:0,0.5"]),
+           bounds=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2),
+           count=st.integers(1, 4),
+           spacing=st.sampled_from(["log", "lin"]))
+    @example(command="verify", mid="atkinson:-2", alpha=2.0,
+             dist="pareto:3,1", bounds=[1e-200, 1.0], count=3, spacing="log")
+    @example(command="compare-ge", mid="ge:2", alpha=-2.0,
+             dist="pareto:3,1", bounds=[1e-200, 1.0], count=3, spacing="log")
+    def test_exit_codes_and_json(self, command, mid, alpha, dist, bounds,
+                                 count, spacing):
+        lo, hi = sorted(bounds)
+        argv = {"verify": ["verify", "--ids", mid],
+                "compare-ge": ["compare-ge", f"--alpha={alpha!r}"],
+                "if-curve": ["if-curve", "--oracle", "--id", mid]}[command]
+        argv += ["--dist", dist, f"--grid={lo!r}:{hi!r}:{count}:{spacing}",
+                 "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3)
+        assert json.loads(out.getvalue())
 
 class TestMcStudyCommand:
     def test_byte_stable_and_well_formed(self, tmp_path):

@@ -282,6 +282,18 @@ class TestIFCurve:
             assert all(abs(z - q1) > 1e-6 and abs(z - q4) > 1e-6 for z in grid)
 
 
+    def test_non_finite_closed_value_is_a_point_error(self):
+        # z^-3 overflows at z = 1e-160; the oracle still reads a value there
+        F = make_distribution("pareto", 3.0, 1.0)
+        curve = if_curve("atkinson:-2", F, [1e-160, 1.0], with_oracle=True)
+        assert curve.point_errors == ((0, "closed: IF is inf at z=1e-160"),)
+        assert np.isnan(curve.closed_form[0])
+        assert np.isfinite(curve.oracle[0])
+
+    def test_default_grid_on_a_point_mass_is_one_point(self):
+        assert default_grid(Dirac(1.0), "theil").tolist() == [1.0]
+        assert default_grid(Dirac(1.0), "qsr").tolist() == [1.0]
+
 class TestCoefficientAdjudication:
     def test_variant_without_coefficient_fails_loudly(self):
         F = make_distribution("exp", 1.0)
