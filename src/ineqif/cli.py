@@ -452,11 +452,7 @@ def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
     T = cfg.measures[0]
     report = mc_variance_study(T, F, n, reps, RngStream(cfg.seed), cfg.tol)
     row = report.to_dict()
-    payload = _payload(cfg, **row)
-    columns = ["measure_id", "distribution", "n", "reps", "mc_variance",
-               "if_variance", "ratio", "seed", "stream_id", "rejections",
-               "degenerate"]
-    _emit(cfg, payload, columns, [row])
+    _emit(cfg, _payload(cfg, **row), list(row), [row])
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Probability models for non-negative income variables.
 
 Parametric laws (Pareto, exponential, lognormal, Singh-Maddala, uniform),
-point masses, empirical step distributions, and exact Dirac-contaminated
-mixtures. Every model exposes cdf/quantile/mean, generic expectations,
-partial means, the Lorenz curve, and the cumulative functional C(F, p).
+empirical step distributions, and exact Dirac-contaminated mixtures; a
+point mass `Dirac(x)` is the one-point empirical law. Each kind states its
+cdf, quantile, mean and partial mean E[X 1{X <= t}] once, and the base
+class derives the rest from them: the support ends lep = Q(0) and
+uep = Q(1), the Lorenz curve from the partial mean at Q(p) (exact through
+atoms, no quadrature), and the cumulative functional C(F, p).
 
 A parametric model computes its expectations in probability space, in the
 quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on finite
@@ -95,21 +98,14 @@ def _fmt(v: float) -> str:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Base class: shared expectation, Lorenz and partial-mean machinery."""
+    """Base class: what follows from a kind's cdf, quantile, mean and
+    partial mean (support ends, expectations, Lorenz curve, C(F, p))."""
 
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "abstract"
 
     # -- subclass interface -------------------------------------------------
-
-    @property
-    def lep(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def uep(self) -> float:
-        raise NotImplementedError
 
     def cdf(self, x):
         raise NotImplementedError
@@ -127,10 +123,24 @@ class Distribution:
     def _mean(self) -> float:
         raise NotImplementedError
 
+    def partial_mean(self, t: float) -> float:
+        """E[X 1{X <= t}], with atoms at t counted in full."""
+        raise NotImplementedError
+
     def descriptor(self) -> str:
         raise NotImplementedError
 
     # -- shared operations --------------------------------------------------
+
+    @property
+    def lep(self) -> float:
+        """Lower end of the support, Q(0)."""
+        return self.quantile(0.0)
+
+    @property
+    def uep(self) -> float:
+        """Upper end of the support, Q(1)."""
+        return self.quantile(1.0)
 
     def mean(self) -> float:
         value = self._cache.get("mean")
@@ -178,34 +188,28 @@ class Distribution:
         """Explicit (location, mass) atom list."""
         return ()
 
-    def mid_cdf(self, x: float) -> float:
-        """(F(x-) + F(x))/2; equals the cdf wherever F is continuous."""
-        return float(self.cdf(x))
-
-    def partial_mean(self, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        """E[X 1{X <= t}], with atoms at t counted in full."""
-        raise NotImplementedError
-
     def quantile_array(self, ps) -> np.ndarray:
         ps = np.asarray(ps, dtype=float)
         return np.array([self.quantile(p) for p in ps.ravel()]).reshape(ps.shape)
 
-    def lorenz(self, p: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        """Lorenz curve L(F, p) = (1/mu) * integral_0^p Q(s) ds."""
+    def lorenz(self, p: float) -> float:
+        """Lorenz curve L(F, p) = (1/mu) * integral_0^p Q(s) ds, from the
+        partial mean at q = Q(p): (E[X 1{X <= q}] + q (p - F(q)))/mu. The
+        second term takes back the part of an atom at q that lies above p."""
         p = _check_prob(p)
         if p == 0.0:
             return 0.0
         if p == 1.0:
             return 1.0
-        q = integrate(lambda s: self.quantile_array(s), 0.0, p, tol)
-        return q / self.mean()
+        q = self.quantile(p)
+        return (self.partial_mean(q) + q * (p - float(self.cdf(q)))) / self.mean()
 
-    def cumulative_functional(self, p: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    def cumulative_functional(self, p: float) -> float:
         """C(F, p) = integral of x dF over [0, Q(p)], atoms included."""
         p = _check_prob(p)
         if p == 0.0:
             return 0.0
-        return self.partial_mean(self.quantile(p), tol)
+        return self.partial_mean(self.quantile(p))
 
 
 def _graded_tails(F: Distribution, g):
@@ -250,14 +254,6 @@ class Exponential(Distribution):
         if not self.rate > 0:
             raise InvalidParameter(f"exponential rate must be > 0, got {self.rate}")
 
-    @property
-    def lep(self):
-        return 0.0
-
-    @property
-    def uep(self):
-        return math.inf
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
@@ -282,7 +278,7 @@ class Exponential(Distribution):
     def _mean(self):
         return 1.0 / self.rate
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -308,14 +304,6 @@ class Pareto(Distribution):
             )
         if not self.scale > 0:
             raise InvalidParameter(f"pareto scale must be > 0, got {self.scale}")
-
-    @property
-    def lep(self):
-        return self.scale
-
-    @property
-    def uep(self):
-        return math.inf
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -344,7 +332,7 @@ class Pareto(Distribution):
     def _mean(self):
         return self.shape * self.scale / (self.shape - 1.0)
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         if t <= self.scale:
             return 0.0
         if math.isinf(t):
@@ -365,14 +353,6 @@ class LogNormal(Distribution):
     def __post_init__(self):
         if not self.sigma > 0:
             raise InvalidParameter(f"lognormal sigma must be > 0, got {self.sigma}")
-
-    @property
-    def lep(self):
-        return 0.0
-
-    @property
-    def uep(self):
-        return math.inf
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -414,7 +394,7 @@ class LogNormal(Distribution):
     def _mean(self):
         return math.exp(self.log_mean + 0.5 * self.sigma ** 2)
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -443,14 +423,6 @@ class SinghMaddala(Distribution):
             raise InvalidParameter(
                 f"singh-maddala needs q > 1/a for a finite mean, got q={self.q}, a={self.a}"
             )
-
-    @property
-    def lep(self):
-        return 0.0
-
-    @property
-    def uep(self):
-        return math.inf
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -489,7 +461,7 @@ class SinghMaddala(Distribution):
             - math.lgamma(self.q)
         )
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -516,14 +488,6 @@ class Uniform(Distribution):
                 f"uniform needs 0 <= lo < hi, got ({self.lo}, {self.hi})"
             )
 
-    @property
-    def lep(self):
-        return self.lo
-
-    @property
-    def uep(self):
-        return self.hi
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
@@ -535,7 +499,7 @@ class Uniform(Distribution):
 
     def quantile(self, p):
         p = _check_prob(p)
-        return self.lo + p * (self.hi - self.lo)
+        return self.hi if p == 1.0 else self.lo + p * (self.hi - self.lo)
 
     def quantile_array(self, ps):
         ps = np.asarray(ps, dtype=float)
@@ -547,7 +511,7 @@ class Uniform(Distribution):
     def _mean(self):
         return 0.5 * (self.lo + self.hi)
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         if t <= self.lo:
             return 0.0
         t = min(t, self.hi)
@@ -562,62 +526,6 @@ class Uniform(Distribution):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dirac(Distribution):
-    location: float
-
-    kind = "dirac"
-
-    def __post_init__(self):
-        if not self.location > 0:
-            raise InvalidParameter(
-                f"dirac location must be > 0 (zero mean rejected), got {self.location}"
-            )
-
-    @property
-    def lep(self):
-        return self.location
-
-    @property
-    def uep(self):
-        return self.location
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.location, 1.0, 0.0)
-
-    def quantile(self, p):
-        _check_prob(p)
-        return self.location
-
-    def quantile_array(self, ps):
-        ps = np.asarray(ps, dtype=float)
-        return np.full(ps.shape, self.location)
-
-    def _mean(self):
-        return self.location
-
-    def _expect_impl(self, g, tol):
-        return float(g(self.location))
-
-    def mass(self, x):
-        return 1.0 if x == self.location else 0.0
-
-    def atoms(self):
-        return ((self.location, 1.0),)
-
-    def mid_cdf(self, x):
-        if x == self.location:
-            return 0.5
-        return float(self.cdf(x))
-
-    def partial_mean(self, t, tol=DEFAULT_TOL):
-        return self.location if t >= self.location else 0.0
-
-    def descriptor(self):
-        return f"dirac:{_fmt(self.location)}"
-
-
 @dataclass(frozen=True, eq=False)
 class Empirical(Distribution):
     """Right-continuous step cdf with jumps 1/n at the sorted observations.
@@ -625,7 +533,7 @@ class Empirical(Distribution):
     The quantile is the left-continuous generalized inverse: the order
     statistic at index ceil(n*p). This is also the validated sample type:
     `from_values` sorts raw incomes, and drawn or ingested samples are
-    Empirical.
+    Empirical. With one observation it is the point mass `Dirac(x)`.
     """
 
     values: np.ndarray
@@ -665,23 +573,12 @@ class Empirical(Distribution):
         idx = int(np.searchsorted(self.values, z))
         return Empirical(np.insert(self.values, idx, z))
 
-    @property
-    def lep(self):
-        return float(self.values[0])
-
-    @property
-    def uep(self):
-        return float(self.values[-1])
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.searchsorted(self.values, x, side="right") / self.n
 
     def quantile(self, p):
-        p = _check_prob(p)
-        if p == 0.0:
-            return self.lep
-        k = int(math.ceil(self.n * p - 1e-9))
+        k = int(math.ceil(self.n * _check_prob(p) - 1e-9))
         return float(self.values[min(max(k, 1), self.n) - 1])
 
     def quantile_array(self, ps):
@@ -693,13 +590,7 @@ class Empirical(Distribution):
         return float(self.values.mean())
 
     def _expect_impl(self, g, tol):
-        try:
-            out = np.asarray(g(self.values), dtype=float)
-            if out.shape != self.values.shape:
-                raise TypeError
-        except TypeError:
-            out = np.array([float(g(v)) for v in self.values])
-        return float(out.mean())
+        return float(_make_evaluator(g)(self.values).mean())
 
     def mass(self, x):
         lo = np.searchsorted(self.values, x, side="left")
@@ -710,18 +601,14 @@ class Empirical(Distribution):
         locs, counts = np.unique(self.values, return_counts=True)
         return tuple((float(v), c / self.n) for v, c in zip(locs, counts))
 
-    def mid_cdf(self, x):
-        lo = np.searchsorted(self.values, x, side="left")
-        hi = np.searchsorted(self.values, x, side="right")
-        return (lo + hi) / (2.0 * self.n)
-
     def mid_cdf_array(self, xs) -> np.ndarray:
+        """(F(x-) + F(x))/2 per element: the mid-distribution function."""
         xs = np.asarray(xs, dtype=float)
         lo = np.searchsorted(self.values, xs, side="left")
         hi = np.searchsorted(self.values, xs, side="right")
         return (lo + hi) / (2.0 * self.n)
 
-    def partial_mean(self, t, tol=DEFAULT_TOL):
+    def partial_mean(self, t):
         prefix = self._cache.get("prefix")
         if prefix is None:
             prefix = np.concatenate([[0.0], np.cumsum(self.values)]) / self.n
@@ -730,7 +617,18 @@ class Empirical(Distribution):
         return float(prefix[idx])
 
     def descriptor(self):
+        if self.n == 1:
+            return f"dirac:{_fmt(self.values[0])}"
         return f"empirical:n={self.n}"
+
+
+def Dirac(location: float) -> Empirical:
+    """The point mass at `location`, as the one-point Empirical law."""
+    if not location > 0:
+        raise InvalidParameter(
+            f"dirac location must be > 0 (zero mean rejected), got {location}"
+        )
+    return Empirical(np.array([location], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -749,6 +647,7 @@ class Contaminated(Distribution):
         if not self.z >= 0.0:
             raise InvalidParameter(f"contamination point must be >= 0, got {self.z}")
 
+    # the support ends come from the parts: the quantile reads them at 0 and 1
     @property
     def lep(self):
         if self.epsilon == 0.0:
@@ -817,17 +716,8 @@ class Contaminated(Distribution):
         merged[self.z] = merged.get(self.z, 0.0) + self.epsilon
         return tuple(sorted(merged.items()))
 
-    def mid_cdf(self, x):
-        if x > self.z:
-            w = 1.0
-        elif x == self.z:
-            w = 0.5
-        else:
-            w = 0.0
-        return (1.0 - self.epsilon) * self.base.mid_cdf(x) + self.epsilon * w
-
-    def partial_mean(self, t, tol=DEFAULT_TOL):
-        pm = (1.0 - self.epsilon) * self.base.partial_mean(t, tol)
+    def partial_mean(self, t):
+        pm = (1.0 - self.epsilon) * self.base.partial_mean(t)
         if self.z <= t:
             pm += self.epsilon * self.z
         return pm
@@ -901,8 +791,6 @@ def scaled(F: Distribution, c: float) -> Distribution:
         return SinghMaddala(F.a, c * F.b, F.q)
     if isinstance(F, Uniform):
         return Uniform(c * F.lo, c * F.hi)
-    if isinstance(F, Dirac):
-        return Dirac(c * F.location)
     if isinstance(F, Empirical):
         return Empirical(c * F.values)
     if isinstance(F, Contaminated):
@@ -916,8 +804,6 @@ def translated(F: Distribution, t: float) -> Distribution:
         raise InvalidParameter(f"translation must keep support >= 0, got {t}")
     if isinstance(F, Uniform):
         return Uniform(F.lo + t, F.hi + t)
-    if isinstance(F, Dirac):
-        return Dirac(F.location + t)
     if isinstance(F, Empirical):
         return Empirical(F.values + t)
     if isinstance(F, Contaminated):

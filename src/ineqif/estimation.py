@@ -8,8 +8,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,19 +75,11 @@ class MCReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "measure_id": self.measure_id,
-            "distribution": self.distribution,
-            "n": self.n,
-            "reps": self.reps,
-            "mc_variance": self.mc_variance,
-            "if_variance": self.if_variance,
-            "ratio": None if self.degenerate else self.ratio,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "rejections": self.rejections,
-            "degenerate": self.degenerate,
-        }
+        """The fields in declaration order; `ratio` is None when degenerate."""
+        row = asdict(self)
+        if self.degenerate:
+            row["ratio"] = None
+        return row
 
 
 def mc_variance_study(T: MeasureFunctional, F: Distribution, n: int,

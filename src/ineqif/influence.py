@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, contaminate
+from .distributions import Contaminated, Distribution, Empirical, contaminate
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -102,14 +102,14 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
 
         def gini_if(xs):
             xs = np.asarray(xs, dtype=float)
-            partial = np.array([F.partial_mean(x, tol) for x in xs.ravel()])
+            partial = np.array([F.partial_mean(x) for x in xs.ravel()])
             partial = partial.reshape(xs.shape)
             fz = np.asarray(F.cdf(xs), dtype=float)
             return 2.0 * (r - partial / mu + (xs / mu) * (r - (1.0 - fz)))
 
         return gini_if
     if T.kind == "qsr":
-        n, d, q1, q4 = qsr_components(F, tol)
+        n, d, q1, q4 = qsr_components(F)
         if d <= 0.0:
             raise DegenerateDenominator(
                 f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
@@ -191,7 +191,9 @@ def if_special(measure_id, F: Distribution, z: float,
     MeasureFunctional) at one point z; see `_closed_if_vectorized`."""
     T = parse_measure_id(measure_id)
     kernel = _kernel_or_error(T, F, tol)
-    return float(kernel(_check_closed_point(T, F, z, kernel)))
+    z = _check_closed_point(T, F, z, kernel)
+    with np.errstate(all="ignore"):  # a non-finite IF is the caller's to see
+        return float(kernel(z))
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +231,14 @@ def asymptotic_variance(T: MeasureFunctional, F: Distribution,
     IF(Q(p))^2 over p in [0, 1]. The QSR's IF kinks at the quintile
     boundaries, which sit at exactly p = 0.2 and 0.8, so its integral is
     split there: the pieces [0, 0.2] and [0.8, 1] together, then
-    [0.2, 0.8]. Heavy-tail divergence surfaces as NonConvergence rather
+    [0.2, 0.8]. The atomic kinds (Empirical, Contaminated) sum over their
+    atoms instead. Heavy-tail divergence surfaces as NonConvergence rather
     than a silently wrong number.
     """
     if_fn = _closed_if_vectorized(T, F, tol)
     square = lambda xs: np.asarray(if_fn(xs), dtype=float) ** 2
 
-    if T.kind == "qsr" and not F.atoms():
+    if T.kind == "qsr" and not isinstance(F, (Empirical, Contaminated)):
         return sum(F._tails_integral(square, lo, hi, tol)
                    for lo, hi in ((0.0, 0.2), (0.2, 0.5)))
     return F.expect(square, tol)
@@ -282,21 +285,24 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
 
     kernel = _kernel_or_error(T, F, tol)
     valid = []
-    for i, z in enumerate(zs):
-        try:
-            z = _check_closed_point(T, F, z, kernel)
-            valid.append(i)
-        except Exception as exc:  # recorded, not fatal
-            point_errors.append((i, f"closed: {exc}"))
-        if with_oracle:
+    # a non-finite closed value is recorded below, an oracle's as its error
+    with np.errstate(all="ignore"):
+        for i, z in enumerate(zs):
             try:
-                est = gateaux_if(T, F, float(z), tol)
-                oracle[i] = est.value
-                oracle_err[i] = est.error
-            except Exception as exc:
-                point_errors.append((i, f"oracle: {exc}"))
+                z = _check_closed_point(T, F, z, kernel)
+                valid.append(i)
+            except Exception as exc:  # recorded, not fatal
+                point_errors.append((i, f"closed: {exc}"))
+            if with_oracle:
+                try:
+                    est = gateaux_if(T, F, float(z), tol)
+                    oracle[i] = est.value
+                    oracle_err[i] = est.error
+                except Exception as exc:
+                    point_errors.append((i, f"oracle: {exc}"))
+        if valid:
+            closed[valid] = kernel(zs[valid])
     if valid:
-        closed[valid] = kernel(zs[valid])
         for i in (i for i in valid if not math.isfinite(closed[i])):
             point_errors.append((i, f"closed: IF is {closed[i]} at z={zs[i]}"))
             closed[i] = math.nan
@@ -414,7 +420,7 @@ def _v_kolm_s2(F, z, tol, spec):
 def _v_gini_appendix(F, z, tol, spec):
     mu = F.mean()
     r = lorenz_area(F, tol)
-    partial = F.partial_mean(z, tol)
+    partial = F.partial_mean(z)
     fz = float(F.cdf(z))
     # literal reading: cumulative functional not divided by the mean
     return 2.0 * (r - partial + (z / mu) * (r - (1.0 - fz)))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Contaminated, Dirac, Distribution, Empirical, _fmt
+from .distributions import Contaminated, Distribution, Empirical, _fmt
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -237,21 +237,20 @@ def _gini_first_moment(F: Distribution, tol: Tolerance) -> float:
 
     The Lorenz-curve area satisfies R(F) = 1 - S(F)/mu, so the Gini
     coefficient is 2*S/mu - 1. For contaminated mixtures S decomposes into
-    eps-free base quantities, which keeps the Gateaux limit exact in eps.
+    eps-free base quantities, which keeps the Gateaux limit exact in eps:
+    the cross term E_F[max(X, z)] = mu - E[X 1{X <= z}] + z F(z) holds
+    with or without an atom of F at z.
     """
     if isinstance(F, Contaminated):
         eps, z, base = F.epsilon, F.z, F.base
         s_base = _gini_first_moment(base, tol)
-        upper = base.mean() - base.partial_mean(z, tol) + 0.5 * z * base.mass(z)
-        return ((1.0 - eps) ** 2 * s_base
-                + eps * (1.0 - eps) * (upper + z * base.mid_cdf(z))
+        cross = base.mean() - base.partial_mean(z) + z * float(base.cdf(z))
+        return ((1.0 - eps) ** 2 * s_base + eps * (1.0 - eps) * cross
                 + 0.5 * eps * eps * z)
     if isinstance(F, Empirical):
         # on sorted data sum_i x_(i) Fmid(x_(i)) = sum_i x_(i) (i - 1/2)/n,
         # ties included: a tie block shares the mean of its ranks
         return float(np.dot(F.values, np.arange(0.5, F.n))) / F.n ** 2
-    if isinstance(F, Dirac):
-        return 0.5 * F.location
     return F.expect(lambda x: np.asarray(x, dtype=float) * F.cdf(x), tol,
                     key="gini_first_moment")
 
@@ -271,19 +270,19 @@ def gini(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
-def qsr_components(F: Distribution, tol: Tolerance = DEFAULT_TOL):
+def qsr_components(F: Distribution):
     """(N, D, Q(0.2), Q(0.8)): top-quintile mass E[X 1{X > Q(0.8)}] and
     bottom-quintile mass E[X 1{X <= Q(0.2)}]."""
     q1 = F.quantile(0.2)
     q4 = F.quantile(0.8)
-    d = F.partial_mean(q1, tol)
-    n = F.mean() - F.partial_mean(q4, tol)
+    d = F.partial_mean(q1)
+    n = F.mean() - F.partial_mean(q4)
     return n, d, q1, q4
 
 
-def qsr(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
+def qsr(F: Distribution) -> float:
     """Quintile share ratio N(F)/D(F)."""
-    n, d, _, _ = qsr_components(F, tol)
+    n, d, _, _ = qsr_components(F)
     if d <= 0.0:
         raise DegenerateDenominator(
             f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
@@ -311,7 +310,7 @@ class MeasureFunctional:
         if self.kind == "gini":
             return gini(F, tol)
         if self.kind == "qsr":
-            return qsr(F, tol)
+            return qsr(F)
         return self.fn(F, tol)
 
 

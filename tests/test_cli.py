@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -623,6 +625,21 @@ class TestOneAdjudicationRoute:
         assert rc in (0, 2, 3)
 
 
+    @pytest.mark.parametrize("argv", [
+        "if-curve --oracle --dist pareto:3,1 --id atkinson:-2 "
+        "--grid 1e-200:1e-160:2:log",
+        "compare-ge --dist pareto:3,1 --alpha -2 --grid 1e-156:1e-154:3:log",
+    ])
+    def test_overflow_prints_no_numpy_warning(self, argv):
+        # a fresh interpreter: numpy prints a warning once per source line
+        proc = subprocess.run(
+            [sys.executable, "-m", "ineqif.cli"] + argv.split(),
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(os.path.abspath(cli.__file__)))},
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 _FUZZ_IDS = ["theil", "mld", "ge:2", "ge:-2", "ge:-0.5", "atkinson:-2",
              "atkinson:0.5", "champernowne", "kolm:1", "gini", "qsr"]
 
@@ -668,6 +685,20 @@ class TestMcStudyCommand:
         header, row = open(out1).read().strip().splitlines()
         assert header.startswith("measure_id,distribution,n,reps,mc_variance")
         assert row.split(",")[0] == "mld"
+
+    @pytest.mark.parametrize("argv", [
+        "mc-study --id gini --dist exp:1 --n 500 --reps 20",
+        "mc-study --id qsr --dist uniform:0,1 --n 500 --reps 20",
+    ])
+    def test_csv_columns_are_the_json_fields(self, argv, capsys):
+        assert main(argv.split()) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert header == ["measure_id", "distribution", "n", "reps",
+                          "mc_variance", "if_variance", "ratio", "seed",
+                          "stream_id", "rejections", "degenerate"]
+        rc, payload = _json_run(argv.split(), capsys)
+        assert rc == 0
+        assert set(header) <= set(payload)
 
 
 class TestAtomicWrite:

@@ -299,6 +299,35 @@ class TestLorenz:
     def test_dirac_equality_line(self):
         assert Dirac(4.0).lorenz(0.5) == pytest.approx(0.5, abs=1e-12)
 
+    def test_empirical_with_ties_is_exact(self):
+        # Q(0.5) = Q(0.3) = 2 sits on a tie block; the step quantile
+        # integrates to 0.2*1 + 0.3*2 = 0.8 over [0, 0.5] and to
+        # 0.2*1 + 0.1*2 = 0.4 over [0, 0.3]; mu = 3.4
+        E = Empirical.from_values([1.0, 2.0, 2.0, 5.0, 7.0])
+        assert abs(E.lorenz(0.5) - 0.8 / 3.4) <= 1e-15
+        assert abs(E.lorenz(0.3) - 0.4 / 3.4) <= 1e-15
+
+    @pytest.mark.parametrize("eps,z", [(0.1, 0.5), (0.3, 2.0), (0.05, 6.0)])
+    def test_contaminated_exponential_piecewise(self, eps, z):
+        # G = w Exp(1) + eps Dirac(z), w = 1 - eps. With Lam(r) = (1-r) log(1-r)
+        # + r, the integral of -log(1-u) over [0, r], the integral of Q_G
+        # over [0, p] is w Lam(p/w) below the atom's jump [a, a + eps],
+        # a = w F(z), linear with slope z on it, and above it the part below
+        # the jump plus eps z plus w (Lam((p - eps)/w) - Lam(F(z))).
+        lam = lambda r: (1.0 - r) * math.log1p(-r) + r
+        w, fz = 1.0 - eps, -math.expm1(-z)
+        a = w * fz
+        G = contaminate(make_distribution("exp", 1.0), eps, z)
+        mu = w + eps * z
+        for p in np.linspace(0.02, 0.98, 49):
+            if p <= a:
+                area = w * lam(p / w)
+            elif p <= a + eps:
+                area = w * lam(fz) + z * (p - a)
+            else:
+                area = w * lam(fz) + eps * z + w * (lam((p - eps) / w) - lam(fz))
+            assert G.lorenz(p) == pytest.approx(area / mu, rel=1e-12, abs=1e-15)
+
     @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "pareto:3,1"])
     def test_nondecreasing_and_convex(self, spec, fleet):
         F = fleet[spec]
@@ -306,6 +335,71 @@ class TestLorenz:
         ls = np.array([F.lorenz(p) for p in ps])
         assert np.all(np.diff(ls) >= -1e-12)
         assert np.all(np.diff(ls, 2) >= -1e-9)
+
+
+_EVERY_KIND = {
+    **{f"{k}:{','.join(map(str, ps))}": make_distribution(k, *ps)
+       for k, ps in PARAMETRIC},
+    "dirac:3": Dirac(3.0),
+    "empirical": Empirical.from_values([0.5, 2.0, 2.0, 7.0]),
+    "contaminated(exp, z inside)": contaminate(make_distribution("exp", 1.0),
+                                               0.1, 2.0),
+    "contaminated(pareto, z below)": contaminate(
+        make_distribution("pareto", 3.0, 1.0), 0.2, 0.5),
+    "contaminated(uniform, z above)": contaminate(
+        make_distribution("uniform", 0.5, 2.5), 0.2, 4.0),
+    "contaminated(eps=0)": contaminate(make_distribution("exp", 1.0), 0.0, 2.0),
+    "contaminated(eps=1)": contaminate(make_distribution("exp", 1.0), 1.0, 2.0),
+}
+
+
+class TestSupportEnds:
+    @pytest.mark.parametrize("name", list(_EVERY_KIND))
+    def test_ends_are_the_quantile_at_zero_and_one(self, name):
+        F = _EVERY_KIND[name]
+        assert F.lep == F.quantile(0.0)
+        assert F.uep == F.quantile(1.0)
+
+    @pytest.mark.parametrize("name,lep,uep", [
+        ("exp:1.0", 0.0, math.inf),
+        ("pareto:3.0,1.0", 1.0, math.inf),
+        ("lognormal:0.0,0.5", 0.0, math.inf),
+        ("uniform:0.5,2.5", 0.5, 2.5),
+        ("sm:2.0,1.0,3.0", 0.0, math.inf),
+        ("dirac:3", 3.0, 3.0),
+        ("empirical", 0.5, 7.0),
+        ("contaminated(pareto, z below)", 0.5, math.inf),
+        ("contaminated(uniform, z above)", 0.5, 4.0),
+        ("contaminated(eps=1)", 2.0, 2.0),
+    ])
+    def test_known_ends(self, name, lep, uep):
+        F = _EVERY_KIND[name]
+        assert (F.lep, F.uep) == (lep, uep)
+
+    def test_uniform_upper_end_is_exact(self):
+        # lo + 1 * (hi - lo) rounds below hi here
+        F = make_distribution("uniform", 8.326672684688674e-17, 0.3)
+        assert F.uep == 0.3
+
+
+class TestDirac:
+    def test_is_the_one_point_empirical_law(self):
+        F = Dirac(2.5)
+        assert isinstance(F, Empirical)
+        assert F.values.tolist() == [2.5]
+        assert F.descriptor() == "dirac:2.5"
+        assert Empirical.from_values([2.5]).descriptor() == "dirac:2.5"
+        assert make_distribution("dirac", 2.5).descriptor() == "dirac:2.5"
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_validation_message(self, x):
+        with pytest.raises(InvalidParameter,
+                           match="dirac location must be > 0"):
+            Dirac(x)
+
+    def test_scaled_and_translated_stay_point_masses(self):
+        assert scaled(Dirac(2.0), 3.0).descriptor() == "dirac:6"
+        assert translated(Dirac(2.0), 0.5).descriptor() == "dirac:2.5"
 
 
 class TestCumulativeFunctional:
@@ -343,10 +437,6 @@ class TestEmpirical:
         assert float(E.cdf(0.5)) == 0.0
         assert float(E.cdf(1.0)) == 0.5
         assert float(E.cdf(3.0)) == 1.0
-
-    def test_mid_cdf_with_ties(self):
-        E = Empirical.from_values([1.0, 2.0, 2.0, 5.0])
-        assert E.mid_cdf(2.0) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

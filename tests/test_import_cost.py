@@ -46,3 +46,12 @@ def test_measure_and_variance_load_scipy_only_for_special_functions(
             f"        rc = main([command, '--ids', 'all', '--dist', {spec!r}])\n"
             "    assert rc == 0, (command, rc)")
     assert _scipy_loaded_after(code) is loads_scipy
+
+
+def test_lorenz_on_a_lognormal_leaves_scipy_unloaded():
+    # the Lorenz curve reads the partial mean, not a quadrature of Q
+    code = ("import sys\n"
+            "from ineqif import make_distribution\n"
+            "F = make_distribution('lognormal', 0.0, 0.5)\n"
+            "assert 0.0 < F.lorenz(0.3) < 0.3")
+    assert not _scipy_loaded_after(code)

@@ -6,6 +6,7 @@ import pytest
 from ineqif import (
     DEFAULT_MEASURE_IDS,
     Dirac,
+    Empirical,
     asymptotic_variance,
     default_grid,
     gateaux_if,
@@ -17,6 +18,7 @@ from ineqif import (
     mean_functional,
     parse_measure_id,
     printed_variants,
+    qsr_components,
     scaled,
 )
 from ineqif.cli import parse_distribution
@@ -212,6 +214,24 @@ class TestAsymptoticVariance:
             for mid in ("theil", "mld", "gini", "qsr"):
                 assert asymptotic_variance(parse_measure_id(mid), F) >= 0.0
 
+    def test_qsr_on_a_sample_lists_no_atoms(self, monkeypatch):
+        # the split is chosen from the kind: a sample's atom list is never built
+        def no_atoms(self):
+            raise AssertionError("atoms() listed")
+
+        monkeypatch.setattr(Empirical, "atoms", no_atoms)
+        s = Empirical.from_values(np.random.default_rng(3).lognormal(size=500))
+        # the QSR IF by its three pieces, at every observation (two of them
+        # sit on the quintile boundaries, where if_special refuses)
+        n, d, q1, q4 = qsr_components(s)
+        x = s.values
+        low = (-x * n + 0.2 * q4 * d + 0.8 * q1 * n) / d ** 2
+        mid = (0.2 * q4 * d - 0.2 * q1 * n) / d ** 2
+        high = (x * d - 0.8 * q4 * d - 0.2 * q1 * n) / d ** 2
+        influence = np.where(x <= q1, low, np.where(x < q4, mid, high))
+        assert asymptotic_variance(parse_measure_id("qsr"), s) == \
+            pytest.approx(np.mean(influence ** 2), rel=1e-12)
+
 
 class TestIFCurve:
     def test_mld_with_oracle(self):
@@ -293,6 +313,33 @@ class TestIFCurve:
     def test_default_grid_on_a_point_mass_is_one_point(self):
         assert default_grid(Dirac(1.0), "theil").tolist() == [1.0]
         assert default_grid(Dirac(1.0), "qsr").tolist() == [1.0]
+
+
+def _outcome(f, *args):
+    """f(*args) as text, or the error it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPointMass:
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    @pytest.mark.parametrize("x", [1.0, 2.5])
+    def test_dirac_agrees_with_the_one_point_sample(self, mid, x):
+        T = parse_measure_id(mid)
+        routes = []
+        for F in (Dirac(x), Empirical.from_values([x])):
+            curve = if_curve(T, F, default_grid(F, T), with_oracle=True)
+            routes.append((
+                _outcome(T.evaluate, F),
+                _outcome(asymptotic_variance, T, F),
+                [repr(v) for v in np.concatenate(
+                    [curve.grid, curve.closed_form, curve.oracle])],
+                curve.point_errors,
+            ))
+        assert routes[0] == routes[1]
+
 
 class TestCoefficientAdjudication:
     def test_variant_without_coefficient_fails_loudly(self):
