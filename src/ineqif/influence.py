@@ -114,13 +114,13 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
             raise DegenerateDenominator(
                 f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
             )
-        d2 = d * d
+        r = n / d  # not d*d, q4*d: they leave the float range at 1e-300, 1e300
 
         def qsr_if(xs):
             xs = np.asarray(xs, dtype=float)
-            low = (-xs * n + 0.2 * q4 * d + 0.8 * q1 * n) / d2
-            mid = (0.2 * q4 * d - 0.2 * q1 * n) / d2
-            high = (xs * d - 0.8 * q4 * d - 0.2 * q1 * n) / d2
+            low = (-xs * r + 0.2 * q4 + 0.8 * q1 * r) / d
+            mid = (0.2 * q4 - 0.2 * q1 * r) / d
+            high = (xs - 0.8 * q4 - 0.2 * q1 * r) / d
             return np.where(xs <= q1, low, np.where(xs < q4, mid, high))
 
         qsr_if.kinks = (q1, q4)

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,16 @@ from ineqif.errors import (
     ParseError,
 )
 from ineqif.numeric import DEFAULT_TOL
+
+
+def _run_cli(argv, stdin=b""):
+    """Run the CLI in a fresh interpreter, where numpy prints a warning once
+    per source line; stdin is fed through a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "ineqif.cli"] + argv,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(os.path.abspath(cli.__file__)))},
+        input=stdin, capture_output=True, timeout=120)
 
 
 def write(tmp_path, name, text):
@@ -122,7 +134,32 @@ _FILE_TEXT = st.lists(
 ).map(lambda rows: "".join(row + end for row, end in rows))
 
 
+# plain-decimal files, which numpy's C reader parses: rows of digits,
+# '.eE+-' and blanks (signed zero, overflow, float's short forms, malformed
+# numbers, padding, whitespace-only rows) after an optional BOM and header
+_PLAIN_PIECES = st.sampled_from([
+    "0", "1", "7", "42", "-0", "1e400", "+.5e-3", "5.", "1-2", "1e", "-",
+    "+", ".", "e", "E", " ", "\t",
+])
+_PLAIN_ROW = st.one_of(
+    st.floats(min_value=-1.0, max_value=1e12).map(repr),
+    st.lists(_PLAIN_PIECES, max_size=4).map("".join),
+)
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+_PLAIN_FILE_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.sampled_from(["", "income\n", "INCOME\r\n", "Income\n"]),
+    st.lists(st.tuples(_PLAIN_ROW, _LINE_END), max_size=8),
+).map(lambda f: f[0] + f[1] + "".join(row + end for row, end in f[2]))
+
+
 class TestIngestMatchesLineLoop:
+    def _check(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(ingest_csv, str(path)) == \
+            _outcome(_ingest_by_line_loop, str(path))
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=_FILE_TEXT)
     # rows numpy.loadtxt gets wrong: two numbers on the one row, float's
@@ -134,10 +171,38 @@ class TestIngestMatchesLineLoop:
     @example(text="income\n\n3\r\n-0\rINCOME\n")
     @example(text="\ufeffincome\n1.5\n2\n")
     def test_same_values_or_same_error(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert _outcome(ingest_csv, str(path)) == \
-            _outcome(_ingest_by_line_loop, str(path))
+        self._check(tmp_path_factory, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_PLAIN_FILE_TEXT)
+    # numpy returns; numpy rejects a blank row of spaces and a malformed
+    # number; a file without digits never reaches numpy; an infinite or
+    # negative value sends the file to the line loop
+    @example(text="\ufeffINCOME\r\n-0\r\n+.5e-3\r5.\n\n")
+    @example(text="income\n1\n \n2\n")
+    @example(text="1\n1-2\n")
+    @example(text="income\n")
+    @example(text="1e400\n")
+    @example(text="3\n-1\n")
+    def test_plain_decimal_same_values_or_same_error(self, tmp_path_factory,
+                                                      text):
+        self._check(tmp_path_factory, text)
+
+    def test_plain_file_is_parsed_without_a_python_float_per_row(self,
+                                                                 tmp_path):
+        # the float line loop holds a list of lines and one of floats,
+        # about 7.7 times the file's size
+        x = np.random.default_rng(1).lognormal(0.0, 1.0, 200_000)
+        path = write(tmp_path, "plain.csv",
+                     "income\n" + "\n".join(map("{:.9g}".format, x)) + "\n")
+        tracemalloc.start()
+        try:
+            values = ingest_csv(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size == x.size
+        assert peak < 4 * os.path.getsize(path)
 
 
 class TestParsers:
@@ -389,6 +454,38 @@ class TestExitCodes:
         bad = write(tmp_path, "neg.csv", "1\n-2\n")
         assert main(["measure", "--id", "theil", "--input", bad]) == 1
 
+    @pytest.mark.parametrize("text", ["income\n1.5\n2\n7\n",
+                                      "income\n1.5\nabc\n7\n"])
+    def test_piped_input_reads_as_the_file(self, tmp_path, text):
+        # a pipe cannot be read twice: it takes the float line loop
+        path = write(tmp_path, "incomes.csv", text)
+        argv = ["measure", "--ids", "theil,gini", "--input"]
+        piped = _run_cli(argv + ["/dev/stdin"], stdin=text.encode())
+        from_file = _run_cli(argv + [path])
+        assert (piped.returncode, piped.stdout) == \
+            (from_file.returncode, from_file.stdout)
+
+    @pytest.mark.parametrize("scaled, unit", [("exp:1e300", "exp:1"),
+                                              ("exp:1e-300", "exp:1"),
+                                              ("dirac:1e300", "dirac:1")])
+    def test_qsr_variance_at_extreme_scale(self, scaled, unit, capsys):
+        # the QSR is scale-free; d*d underflowed on exp:1e300 and q4*d
+        # overflowed on dirac:1e300
+        sigma2 = []
+        for dist in (scaled, unit):
+            rc, payload = _json_run(["variance", "--ids", "qsr", "--dist",
+                                     dist], capsys)
+            assert rc == 0
+            sigma2.append(payload["results"][0]["sigma2"])
+        assert sigma2[0] == pytest.approx(sigma2[1], rel=2e-14, abs=0)
+
+    def test_overflowing_measure_prints_only_its_error(self):
+        # h1(mu) = mu^-2 overflows while T(F) is built
+        proc = _run_cli("measure --ids ge:-2 --dist dirac:1e-300".split())
+        assert (proc.returncode, proc.stderr) == (2, (
+            b"error: ge:-2: DegenerateDenominator: h1(mu)=inf for ge:-2 "
+            b"at mu=1e-300\n"))
+
 
 class TestPerIdErrors:
     """measure and variance keep every row when one id fails."""
@@ -629,15 +726,12 @@ class TestOneAdjudicationRoute:
         "if-curve --oracle --dist pareto:3,1 --id atkinson:-2 "
         "--grid 1e-200:1e-160:2:log",
         "compare-ge --dist pareto:3,1 --alpha -2 --grid 1e-156:1e-154:3:log",
+        "verify --ids ge:-2 --dist uniform:1e-150,2e-150",
+        "variance --ids qsr --dist dirac:1e300",
     ])
     def test_overflow_prints_no_numpy_warning(self, argv):
-        # a fresh interpreter: numpy prints a warning once per source line
-        proc = subprocess.run(
-            [sys.executable, "-m", "ineqif.cli"] + argv.split(),
-            env={**os.environ, "PYTHONPATH": os.path.dirname(
-                os.path.dirname(os.path.abspath(cli.__file__)))},
-            capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        proc = _run_cli(argv.split())
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 _FUZZ_IDS = ["theil", "mld", "ge:2", "ge:-2", "ge:-0.5", "atkinson:-2",
