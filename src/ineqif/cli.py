@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -95,45 +94,57 @@ def ingest_csv(path: str) -> Empirical:
     """
     try:
         with open(path, "rb") as fh:  # read once: the path may be a pipe
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            data = fh.read()
-        values = _plain_decimal_values(path, data) if regular else None
+            seen, data = os.fstat(fh.fileno()), fh.read()
+        values = _plain_decimal_values(path, data, seen)
         if values is None:
             # universal newlines: the same lines, numbered alike, as readlines
-            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-            values = _parse_rows(text.read().split("\n"))
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+            data = data.read()  # one copy at a time: bytes, text, lines
+            data = data.split("\n")
+            values = _parse_rows(data)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameter(f"cannot read input file {path!r}: {exc}") from exc
     del data  # freed before the sort below copies the values
-    if not len(values):
+    if not values.size:
         raise EmptyInput(f"no data rows in {path}")
     return Empirical.from_values(values)
 
 
-def _plain_decimal_values(path: str, data: bytes) -> Optional[np.ndarray]:
-    """numpy's C reader, which parses with float's PyOS_string_to_double, on
-    plain decimals after an optional BOM and 'income' row; else None."""
+def _plain_decimal_values(path: str, data: bytes,
+                          seen: os.stat_result) -> Optional[np.ndarray]:
+    """numpy's C reader (float's own PyOS_string_to_double) on an unchanged
+    file of plain decimals after an optional BOM and 'income' row; else None."""
     plain = b"0123456789.eE+- \t\r\n"
     head = re.match(rb"(?:\xef\xbb\xbf)?((?i:income)\r?\n)?", data)
     if (data.translate(None, plain) != head.group().translate(None, plain)
-            or not re.search(rb"[0-9]", data)):
-        return None
+            or not re.search(rb"[0-9]", data) or len(data) != seen.st_size):
+        return None  # a pipe or a device reports size 0
+    stamp = lambda st: (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
     try:  # "./": numpy's DataSource fetches a relative path shaped as a URL
         values = np.loadtxt(os.path.join(".", path), dtype=float,
                             comments=None, delimiter=",", ndmin=1,
                             skiprows=int(bool(head[1])), encoding="utf-8-sig")
-    except (ValueError, OSError):  # e.g. a blank row of spaces, a .gz name
+        if stamp(os.stat(path)) != stamp(seen):
+            return None  # the file changed after the read: other bytes
+    except Exception:  # a row of blanks; a name numpy decompresses, as .xz
         return None
     return values if np.all(np.isfinite(values) & (values >= 0)) else None
 
 
-def _parse_rows(lines: list[str]) -> list[float]:
+def _parse_rows(lines: list[str]) -> np.ndarray:
     """float on each stripped row but a first 'income' header row."""
     first = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if first is not None and lines[first].strip().lower() == "income":
         lines[first] = ""  # blanked, not removed: row numbers still count it
-    values = []
-    for row_no, raw in enumerate(lines, start=1):
+    # strip first: str.strip removes \x1c-\x1f, which float() rejects
+    try:
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines))),
+                             dtype=float)
+        if np.all(np.isfinite(values) & (values >= 0)):
+            return values
+    except ValueError:
+        pass
+    for row_no, raw in enumerate(lines, start=1):  # name the first bad row
         line = raw.strip()
         if not line:
             continue
@@ -145,8 +156,7 @@ def _parse_rows(lines: list[str]) -> list[float]:
             raise ParseError(row_no, line)
         if value < 0:
             raise NegativeIncome(row_no, value)
-        values.append(value)
-    return values
+    raise AssertionError("no bad row among lines the one-pass parse rejected")
 
 
 def parse_distribution(spec: str) -> Distribution:

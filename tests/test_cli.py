@@ -154,8 +154,8 @@ _PLAIN_FILE_TEXT = st.tuples(
 
 
 class TestIngestMatchesLineLoop:
-    def _check(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("ingest") / "incomes.csv"
+    def _check(self, tmp_path_factory, text, name="incomes.csv"):
+        path = tmp_path_factory.mktemp("ingest") / name
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(ingest_csv, str(path)) == \
             _outcome(_ingest_by_line_loop, str(path))
@@ -188,6 +188,39 @@ class TestIngestMatchesLineLoop:
                                                       text):
         self._check(tmp_path_factory, text)
 
+    @pytest.mark.parametrize("name", ["incomes.xz", "incomes.lzma",
+                                      "incomes.gz", "incomes.bz2"])
+    @pytest.mark.parametrize("text", ["income\n1.5\n2\n", "1\n-2\n",
+                                      "1\n1-2\n"])
+    def test_plain_file_with_a_compressed_name(self, tmp_path_factory, name,
+                                               text):
+        # numpy picks a decompressor from the name; the bytes are plain text
+        self._check(tmp_path_factory, text, name)
+
+    @pytest.mark.parametrize("change", ["append", "rename", "rewrite"])
+    def test_file_changed_after_the_read(self, tmp_path, monkeypatch, change):
+        # the values come from the bytes read once, not from a later state
+        path = tmp_path / "incomes.csv"
+        path.write_bytes(b"income\n1.5\n2\n")
+        expected = _outcome(_ingest_by_line_loop, str(path))
+        loadtxt = np.loadtxt
+
+        def change_then_load(*args, **kwargs):
+            if change == "append":
+                with open(path, "ab") as fh:
+                    fh.write(b"7\n")
+            elif change == "rename":
+                (tmp_path / "new.csv").write_bytes(b"income\n9.5\n8\n")
+                os.replace(tmp_path / "new.csv", path)
+            else:  # same size, in place, with a later modification time
+                mtime = path.stat().st_mtime_ns
+                path.write_bytes(b"income\n9.5\n8\n")
+                os.utime(path, ns=(mtime + 10 ** 9, mtime + 10 ** 9))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", change_then_load)
+        assert _outcome(ingest_csv, str(path)) == expected
+
     def test_plain_file_is_parsed_without_a_python_float_per_row(self,
                                                                  tmp_path):
         # the float line loop holds a list of lines and one of floats,
@@ -203,6 +236,23 @@ class TestIngestMatchesLineLoop:
             tracemalloc.stop()
         assert values.size == x.size
         assert peak < 4 * os.path.getsize(path)
+
+    def test_other_files_are_parsed_without_a_python_float_per_row(self,
+                                                                   tmp_path):
+        # one float pass over the lines, as before the C route: about 7
+        # times the file's size; a list of Python floats would take 9.7
+        rows = list(map("{:.9g}".format,
+                        np.random.default_rng(1).lognormal(0, 1, 200_000)))
+        for name, last in (("underscore.csv", "1_000"), ("blank.csv", " ")):
+            path = write(tmp_path, name, "\n".join(rows + [last]) + "\n")
+            tracemalloc.start()
+            try:
+                values = ingest_csv(path).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values.size == len(rows) + (last == "1_000")
+            assert peak < 8 * os.path.getsize(path)
 
 
 class TestParsers:
