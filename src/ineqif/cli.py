@@ -54,7 +54,6 @@ from .measures import (
     MeasureFunctional,
     parse_measure_id,
 )
-from .numeric import DEFAULT_TOL, Tolerance
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 42
@@ -225,7 +224,6 @@ class RunConfig:
     dist: Optional[str]
     input_path: Optional[str]
     grid: Optional[str]
-    tol: Tolerance
     seed: int
     out: Optional[str]
     fmt: str
@@ -361,14 +359,14 @@ def _cmd_measure(cfg: RunConfig) -> int:
     else:
         F = cfg.distribution()
         source = {"distribution": F.descriptor()}
-    return _emit_results(cfg, source, "value", lambda T: T.evaluate(F, cfg.tol))
+    return _emit_results(cfg, source, "value", lambda T: T.evaluate(F))
 
 
 def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
     F = cfg.distribution()
     T = cfg.measures[0]
     grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
-    curve = if_curve(T, F, grid, with_oracle=with_oracle, tol=cfg.tol)
+    curve = if_curve(T, F, grid, with_oracle=with_oracle)
     rows = []
     for i, z in enumerate(curve.grid):
         closed = float(curve.closed_form[i])
@@ -397,13 +395,13 @@ def _cmd_if_curve(cfg: RunConfig, with_oracle: bool) -> int:
 def _cmd_variance(cfg: RunConfig) -> int:
     F = cfg.distribution()
     return _emit_results(cfg, {"distribution": F.descriptor()}, "sigma2",
-                         lambda T: asymptotic_variance(T, F, cfg.tol))
+                         lambda T: asymptotic_variance(T, F))
 
 
 def _formula_sources(T: MeasureFunctional) -> list:
-    """(source, normative, note, evaluate(F, z, tol, spec)) for theorem1,
+    """(source, normative, note, evaluate(F, z, spec)) for theorem1,
     the normative closed form, and for each printed display of T."""
-    theorem1 = lambda F, z, tol, spec: if_special(T, F, z, tol)
+    theorem1 = lambda F, z, spec: if_special(T, F, z)
     return [("theorem1", True, None, theorem1)] + [
         (v.source, False, v.note, v.evaluate) for v in printed_variants(T)]
 
@@ -413,20 +411,20 @@ def _oracle_points(cfg: RunConfig, F: Distribution, T: MeasureFunctional):
     and its values there, read from if_curve. T(F) is evaluated first: its
     failure raises here, once, instead of at every point."""
     grid = parse_grid(cfg.grid) if cfg.grid else default_grid(F, T)
-    T.evaluate(F, cfg.tol)
-    curve = if_curve(T, F, grid, with_oracle=True, tol=cfg.tol)
+    T.evaluate(F)
+    curve = if_curve(T, F, grid, with_oracle=True)
     kept = np.isfinite(curve.oracle)
     return curve.grid[kept].tolist(), curve.oracle[kept]
 
 
-def _column(evaluate, F: Distribution, zs: list, tol: Tolerance, spec):
+def _column(evaluate, F: Distribution, zs: list, spec):
     """One formula source at the oracle's points: its values, NaN where it
     fails or is not finite, and the last such failure. A stray arithmetic
     error of a printed display counts as a DomainError at its z."""
     values, failure = np.full(len(zs), np.nan), None
     for i, z in enumerate(zs):
         try:
-            value = evaluate(F, z, tol, spec)
+            value = evaluate(F, z, spec)
             if not math.isfinite(value):
                 raise DomainError(f"IF is {value} at z={z}")
             values[i] = value
@@ -459,7 +457,7 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
                    "normative": normative, "max_abs_err": None,
                    "verdict": "SKIP", "note": skip}
             if skip is None:
-                values, failure = _column(evaluate, F, zs, cfg.tol, T.spec)
+                values, failure = _column(evaluate, F, zs, T.spec)
                 err, bound = _gate(values, oracle, abs_tol)
                 if np.isnan(values).all():
                     row["note"] = f"closed form: {failure}"
@@ -479,7 +477,7 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
 def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
     F = cfg.distribution()
     T = cfg.measures[0]
-    report = mc_variance_study(T, F, n, reps, RngStream(cfg.seed), cfg.tol)
+    report = mc_variance_study(T, F, n, reps, RngStream(cfg.seed))
     row = report.to_dict()
     _emit(cfg, _payload(cfg, **row), list(row), [row])
     return EXIT_OK
@@ -493,7 +491,7 @@ def _cmd_compare_ge(cfg: RunConfig, alpha: float, abs_tol: float) -> int:
     F = cfg.distribution()
     T = parse_measure_id(f"ge:{alpha!r}")
     zs, oracle = _oracle_points(cfg, F, T)
-    with_c, without_c = (_column(evaluate, F, zs, cfg.tol, T.spec)[0]
+    with_c, without_c = (_column(evaluate, F, zs, T.spec)[0]
                          for source, _, _, evaluate in _formula_sources(T)
                          if source in ("theorem1", "without_coefficient"))
     err_with, bound = _gate(with_c, oracle, abs_tol)
@@ -532,14 +530,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ineqif", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_ids=True):
+    def common(p, needs_ids=True, grid=False, gate=False):
         if needs_ids:
             p.add_argument("--id", help="single measure id, e.g. theil or ge:2")
             p.add_argument("--ids", help="comma list of measure ids, or 'all'")
         p.add_argument("--dist", help="distribution spec, e.g. exp:1")
-        p.add_argument("--grid", help="z grid as min:max:count:log|lin")
-        p.add_argument("--tol", type=float, default=None,
-                       help="absolute tolerance override")
+        if grid:
+            p.add_argument("--grid", help="z grid as min:max:count:log|lin")
+        if gate:
+            p.add_argument("--tol", type=float, default=1e-5,
+                           help="absolute tolerance of the oracle gate")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (written atomically)")
@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("if-curve", help="closed-form IF (optionally oracle) "
                                         "over a z grid")
-    common(p)
+    common(p, grid=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the Gateaux oracle per grid point")
 
@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="adjudicate every formula against the "
                                       "Gateaux oracle")
-    common(p)
+    common(p, grid=True, gate=True)
 
     p = sub.add_parser("mc-study", help="Monte Carlo variance consistency "
                                         "study")
@@ -570,21 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-ge", help="GE IF with and without the "
                                           "leading coefficient vs the oracle")
-    common(p, needs_ids=False)
+    common(p, needs_ids=False, grid=True, gate=True)
     p.add_argument("--alpha", type=float, default=2.0)
 
     return parser
 
 
 def _make_config(args) -> RunConfig:
-    if args.tol is not None:
-        if not 0 < args.tol < math.inf:
-            raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
-        tol = Tolerance(abs_tol=min(args.tol * 1e-3, 1e-10),
-                        rel_tol=1e-9,
-                        max_subdivisions=DEFAULT_TOL.max_subdivisions)
-    else:
-        tol = DEFAULT_TOL
+    if "tol" in args and not 0 < args.tol < math.inf:
+        raise InvalidParameter(f"--tol must be finite and > 0, got {args.tol}")
     needs_ids = args.command not in ("compare-ge",)
     measures = tuple(_expand_ids(getattr(args, "ids", None),
                                  getattr(args, "id", None))) if needs_ids else ()
@@ -595,8 +589,7 @@ def _make_config(args) -> RunConfig:
         measures=measures,
         dist=args.dist,
         input_path=getattr(args, "input", None),
-        grid=args.grid,
-        tol=tol,
+        grid=getattr(args, "grid", None),
         seed=args.seed,
         out=args.out,
         fmt=args.format,
@@ -614,7 +607,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with np.errstate(all="ignore"):  # results carry non-finite values
             cfg = _make_config(args)
-            abs_tol = args.tol if args.tol is not None else 1e-5
             if args.command == "measure":
                 return _cmd_measure(cfg)
             if args.command == "if-curve":
@@ -622,11 +614,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "variance":
                 return _cmd_variance(cfg)
             if args.command == "verify":
-                return _cmd_verify(cfg, abs_tol)
+                return _cmd_verify(cfg, args.tol)
             if args.command == "mc-study":
                 return _cmd_mc_study(cfg, args.n, args.reps)
             if args.command == "compare-ge":
-                return _cmd_compare_ge(cfg, args.alpha, abs_tol)
+                return _cmd_compare_ge(cfg, args.alpha, args.tol)
             raise InvalidParameter(f"unknown command {args.command!r}")
     except _USAGE_FAILURES as exc:
         _report_error(fmt, exc)

@@ -5,8 +5,8 @@ empirical step distributions, and exact Dirac-contaminated mixtures; a
 point mass `Dirac(x)` is the one-point empirical law. Each kind states its
 cdf, quantile, mean and partial mean E[X 1{X <= t}] once, and the base
 class derives the rest from them: the support ends lep = Q(0) and
-uep = Q(1), the Lorenz curve from the partial mean at Q(p) (exact through
-atoms, no quadrature), and the cumulative functional C(F, p).
+uep = Q(1), and the Lorenz curve from the partial mean at Q(p) (exact
+through atoms, no quadrature).
 
 A parametric model computes its expectations in probability space, in the
 quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on finite
@@ -14,8 +14,9 @@ intervals only. The upper half reads the inverse survival function
 Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and both ends
 are graded as p = u**8, which makes power-law ends regular integrands.
 The quantile carries the scale, so the quadrature nodes do not depend on
-it. Each kind keeps its density `pdf` as an independent x-space route for
-the tests.
+it. Every such integral runs at `integrate`'s one error target, so a
+cached moment is keyed by its integrand alone. Each kind keeps its
+density `pdf` as an independent x-space route for the tests.
 
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
@@ -35,8 +36,6 @@ import numpy as np
 from .errors import DomainError, InvalidParameter
 # bisect_nondecreasing is unused here; the benchmark tracer patches this name.
 from .numeric import (  # noqa: F401
-    DEFAULT_TOL,
-    Tolerance,
     _make_evaluator,
     bisect_nondecreasing,
     integrate,
@@ -99,7 +98,7 @@ def _fmt(v: float) -> str:
 @dataclass(frozen=True)
 class Distribution:
     """Base class: what follows from a kind's cdf, quantile, mean and
-    partial mean (support ends, expectations, Lorenz curve, C(F, p))."""
+    partial mean (support ends, expectations, Lorenz curve)."""
 
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -149,32 +148,32 @@ class Distribution:
             self._cache["mean"] = value
         return value
 
-    def expect(self, g: Callable, tol: Tolerance = DEFAULT_TOL, key=None) -> float:
-        """E[g(X)]; results are cached per (key, tol) when a key is given.
+    def expect(self, g: Callable, key=None) -> float:
+        """E[g(X)]; results are cached per key when a key is given.
 
         On a parametric model this is the quantile form, the integral of
         g(Q(p)) + g(Q(1-p)) over p in [0, 1/2] (see `_tails_integral`);
         atomic models sum over their atoms exactly."""
         if key is not None:
-            ck = ("expect", key, tol)
+            ck = ("expect", key)
             hit = self._cache.get(ck)
             if hit is not None:
                 return hit
-        value = self._expect_impl(g, tol)
+        value = self._expect_impl(g)
         if key is not None:
             self._cache[ck] = value
         return value
 
-    def _expect_impl(self, g, tol: Tolerance) -> float:
-        return self._tails_integral(g, 0.0, 0.5, tol)
+    def _expect_impl(self, g) -> float:
+        return self._tails_integral(g, 0.0, 0.5)
 
-    def _tails_integral(self, g, lo: float, hi: float, tol: Tolerance) -> float:
+    def _tails_integral(self, g, lo: float, hi: float) -> float:
         """integral over p in [lo, hi] of g(Q(p)) + g(Q(1-p)), for
         0 <= lo < hi <= 1/2: the part of E g(X) that the probability
         pieces [lo, hi] and [1-hi, 1-lo] carry. One adaptive integral in
         u = p**(1/_GRADE), on a finite interval whatever the support."""
         return integrate(_graded_tails(self, g), lo ** (1.0 / _GRADE),
-                         hi ** (1.0 / _GRADE), tol)
+                         hi ** (1.0 / _GRADE))
 
     def _tail_quantiles(self, ps: np.ndarray):
         """(Q(p), Q(1-p)) on an array of p in (0, 1/2]."""
@@ -183,10 +182,6 @@ class Distribution:
     def mass(self, x: float) -> float:
         """Probability mass of the atom at x (0 for continuous kinds)."""
         return 0.0
-
-    def atoms(self) -> tuple:
-        """Explicit (location, mass) atom list."""
-        return ()
 
     def quantile_array(self, ps) -> np.ndarray:
         ps = np.asarray(ps, dtype=float)
@@ -203,13 +198,6 @@ class Distribution:
             return 1.0
         q = self.quantile(p)
         return (self.partial_mean(q) + q * (p - float(self.cdf(q)))) / self.mean()
-
-    def cumulative_functional(self, p: float) -> float:
-        """C(F, p) = integral of x dF over [0, Q(p)], atoms included."""
-        p = _check_prob(p)
-        if p == 0.0:
-            return 0.0
-        return self.partial_mean(self.quantile(p))
 
 
 def _graded_tails(F: Distribution, g):
@@ -589,17 +577,13 @@ class Empirical(Distribution):
     def _mean(self):
         return float(self.values.mean())
 
-    def _expect_impl(self, g, tol):
+    def _expect_impl(self, g):
         return float(_make_evaluator(g)(self.values).mean())
 
     def mass(self, x):
         lo = np.searchsorted(self.values, x, side="left")
         hi = np.searchsorted(self.values, x, side="right")
         return (hi - lo) / self.n
-
-    def atoms(self):
-        locs, counts = np.unique(self.values, return_counts=True)
-        return tuple((float(v), c / self.n) for v, c in zip(locs, counts))
 
     def mid_cdf_array(self, xs) -> np.ndarray:
         """(F(x-) + F(x))/2 per element: the mid-distribution function."""
@@ -693,14 +677,14 @@ class Contaminated(Distribution):
     def _mean(self):
         return (1.0 - self.epsilon) * self.base.mean() + self.epsilon * self.z
 
-    def _expect_impl(self, g, tol):
-        return (1.0 - self.epsilon) * self.base.expect(g, tol) \
+    def _expect_impl(self, g):
+        return (1.0 - self.epsilon) * self.base.expect(g) \
             + self.epsilon * float(g(self.z))
 
-    def expect(self, g, tol=DEFAULT_TOL, key=None):
+    def expect(self, g, key=None):
         # Delegate caching of the base integral to the base distribution so
         # every eps-view of the same base reuses one quadrature result.
-        return (1.0 - self.epsilon) * self.base.expect(g, tol, key=key) \
+        return (1.0 - self.epsilon) * self.base.expect(g, key=key) \
             + self.epsilon * float(g(self.z))
 
     def mass(self, x):
@@ -708,13 +692,6 @@ class Contaminated(Distribution):
         if x == self.z:
             m += self.epsilon
         return m
-
-    def atoms(self):
-        merged = {}
-        for loc, m in self.base.atoms():
-            merged[loc] = merged.get(loc, 0.0) + (1.0 - self.epsilon) * m
-        merged[self.z] = merged.get(self.z, 0.0) + self.epsilon
-        return tuple(sorted(merged.items()))
 
     def partial_mean(self, t):
         pm = (1.0 - self.epsilon) * self.base.partial_mean(t)

@@ -16,7 +16,6 @@ from .distributions import Distribution, Empirical
 from .errors import DomainError, InvalidParameter
 from .influence import asymptotic_variance
 from .measures import MeasureFunctional
-from .numeric import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "RngStream",
@@ -50,11 +49,10 @@ def draw_sample(F: Distribution, n: int, rng: RngStream) -> Empirical:
     return Empirical.from_values(F.quantile_array(u))
 
 
-def sensitivity_curve(T: MeasureFunctional, s: Empirical, z: float,
-                      tol: Tolerance = DEFAULT_TOL) -> float:
+def sensitivity_curve(T: MeasureFunctional, s: Empirical, z: float) -> float:
     """Finite-sample influence analogue: (n+1) * (T(s + {z}) - T(s))."""
-    t_n = T.evaluate(s, tol)
-    t_n1 = T.evaluate(s.with_inserted(z), tol)
+    t_n = T.evaluate(s)
+    t_n1 = T.evaluate(s.with_inserted(z))
     return (s.n + 1) * (t_n1 - t_n)
 
 
@@ -83,8 +81,7 @@ class MCReport:
 
 
 def mc_variance_study(T: MeasureFunctional, F: Distribution, n: int,
-                      reps: int, rng: RngStream,
-                      tol: Tolerance = DEFAULT_TOL) -> MCReport:
+                      reps: int, rng: RngStream) -> MCReport:
     """Draw `reps` samples of size n and compare the empirical variance of
     sqrt(n)(T(F_n) - T(F)) with the influence-function variance.
 
@@ -95,8 +92,8 @@ def mc_variance_study(T: MeasureFunctional, F: Distribution, n: int,
     """
     if reps < 2:
         raise InvalidParameter(f"need at least 2 replicas, got {reps}")
-    t0 = T.evaluate(F, tol)
-    if_var = asymptotic_variance(T, F, tol)
+    t0 = T.evaluate(F)
+    if_var = asymptotic_variance(T, F)
 
     values = np.empty(reps, dtype=float)
     rejections = 0
@@ -106,7 +103,7 @@ def mc_variance_study(T: MeasureFunctional, F: Distribution, n: int,
         while True:
             sample = draw_sample(F, n, rng.substream(offset))
             try:
-                values[r] = T.evaluate(sample, tol)
+                values[r] = T.evaluate(sample)
                 break
             except DomainError:
                 rejections += 1

@@ -34,9 +34,7 @@ from .measures import (
 )
 # integrate is unused here; the benchmark tracer patches this name.
 from .numeric import (  # noqa: F401
-    DEFAULT_TOL,
     DerivativeEstimate,
-    Tolerance,
     derivative_at_zero_plus,
     integrate,
 )
@@ -65,12 +63,12 @@ def _check_point(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
-                          tol: Tolerance) -> Callable[[np.ndarray], np.ndarray]:
+def _closed_if_vectorized(T: MeasureFunctional,
+                          F: Distribution) -> Callable[[np.ndarray], np.ndarray]:
     """The closed-form IF of T at F as a vectorized function of z.
 
     Every moment is computed once, here; the checks on z itself (the
-    domain of h, atoms, quintile boundaries) are the callers'.
+    domain of h, quintile boundaries) are the callers'.
 
     Quadruple family (Theorem 1), with I = E h(X)/h1(mu) - h2(mu):
       tau'(I) * [ -(h1'(mu) E h(X)/h1(mu)^2 + h2'(mu)) (z - mu)
@@ -98,7 +96,7 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
         return lambda xs: np.asarray(xs, dtype=float) - mu
     if T.kind == "gini":
         mu = F.mean()
-        r = lorenz_area(F, tol)
+        r = lorenz_area(F)
 
         def gini_if(xs):
             xs = np.asarray(xs, dtype=float)
@@ -110,10 +108,6 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
         return gini_if
     if T.kind == "qsr":
         n, d, q1, q4 = qsr_components(F)
-        if d <= 0.0:
-            raise DegenerateDenominator(
-                f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
-            )
         r = n / d  # not d*d, q4*d: they leave the float range at 1e-300, 1e300
 
         def qsr_if(xs):
@@ -127,7 +121,7 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
         return qsr_if
 
     spec = T.spec
-    fv = functional_value(spec, F, tol)
+    fv = functional_value(spec, F)
     mu, eh = fv.mu, fv.eh
     h1_mu = float(spec.h1(mu))
     slope = float(spec.tau_prime(fv.index_arg))
@@ -149,30 +143,26 @@ def _closed_if_vectorized(T: MeasureFunctional, F: Distribution,
     return theil_like_if
 
 
-def _kernel_or_error(T: MeasureFunctional, F: Distribution, tol: Tolerance):
+def _kernel_or_error(T: MeasureFunctional, F: Distribution):
     """The kernel, or the exception that building it raised: a moment
     failure is reported at a point only after that point's own checks."""
     try:
-        return _closed_if_vectorized(T, F, tol)
+        return _closed_if_vectorized(T, F)
     except Exception as exc:
         return exc
 
 
-def _check_closed_point(T: MeasureFunctional, F: Distribution, z: float,
-                        kernel) -> float:
-    """The checks on z, in a fixed order: z >= 0, the domain of h and an
-    atom of F under the Gini come before any moment failure (a kernel that
-    could not be built); the QSR's quintile boundaries, where its IF jumps,
-    come after its quintile moments. A point within 1e-9 (relative) of a
-    boundary counts as on it."""
+def _check_closed_point(T: MeasureFunctional, z: float, kernel) -> float:
+    """The checks on z, in a fixed order: z >= 0 and the domain of h come
+    before any moment failure (a kernel that could not be built); the QSR's
+    quintile boundaries, where its IF jumps, come after its quintile
+    moments. A point within 1e-9 (relative) of a boundary counts as on it."""
     z = _check_point(z)
     if T.spec is not None and T.spec.requires_positive and z <= 0.0:
         raise DomainError(
             f"h(z) undefined at z={z} for {T.spec.measure_id} "
             "(log or negative power)"
         )
-    if T.kind == "gini" and F.mass(z) > 0.0:
-        raise KinkPoint(f"Gini IF evaluated on an atom of F at z={z}")
     if isinstance(kernel, Exception):
         raise kernel
     if T.kind == "qsr":
@@ -185,13 +175,12 @@ def _check_closed_point(T: MeasureFunctional, F: Distribution, z: float,
     return z
 
 
-def if_special(measure_id, F: Distribution, z: float,
-               tol: Tolerance = DEFAULT_TOL) -> float:
+def if_special(measure_id, F: Distribution, z: float) -> float:
     """Normative closed-form influence function of a measure id (or a
     MeasureFunctional) at one point z; see `_closed_if_vectorized`."""
     T = parse_measure_id(measure_id)
-    kernel = _kernel_or_error(T, F, tol)
-    z = _check_closed_point(T, F, z, kernel)
+    kernel = _kernel_or_error(T, F)
+    z = _check_closed_point(T, z, kernel)
     with np.errstate(all="ignore"):  # a non-finite IF is the caller's to see
         return float(kernel(z))
 
@@ -201,8 +190,8 @@ def if_special(measure_id, F: Distribution, z: float,
 # ---------------------------------------------------------------------------
 
 
-def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
-               tol: Tolerance = DEFAULT_TOL) -> DerivativeEstimate:
+def gateaux_if(T: MeasureFunctional, F: Distribution,
+               z: float) -> DerivativeEstimate:
     """lim_{eps->0+} [T((1-eps)F + eps Dirac(z)) - T(F)] / eps.
 
     This is the independent oracle for every closed form in this module.
@@ -210,10 +199,10 @@ def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
     difference quotients carry no quadrature drift across the steps.
     """
     z = _check_point(z)
-    base_value = T.evaluate(F, tol)
+    base_value = T.evaluate(F)
 
     def phi(eps: float) -> float:
-        return T.evaluate(contaminate(F, eps, z), tol) - base_value
+        return T.evaluate(contaminate(F, eps, z)) - base_value
 
     return derivative_at_zero_plus(phi)
 
@@ -223,8 +212,7 @@ def gateaux_if(T: MeasureFunctional, F: Distribution, z: float,
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_variance(T: MeasureFunctional, F: Distribution,
-                        tol: Tolerance = DEFAULT_TOL) -> float:
+def asymptotic_variance(T: MeasureFunctional, F: Distribution) -> float:
     """sigma^2 = integral of IF(x)^2 dF(x), atoms included exactly.
 
     On a continuous model this is the quantile form integral of
@@ -235,13 +223,13 @@ def asymptotic_variance(T: MeasureFunctional, F: Distribution,
     atoms instead. Heavy-tail divergence surfaces as NonConvergence rather
     than a silently wrong number.
     """
-    if_fn = _closed_if_vectorized(T, F, tol)
+    if_fn = _closed_if_vectorized(T, F)
     square = lambda xs: np.asarray(if_fn(xs), dtype=float) ** 2
 
     if T.kind == "qsr" and not isinstance(F, (Empirical, Contaminated)):
-        return sum(F._tails_integral(square, lo, hi, tol)
+        return sum(F._tails_integral(square, lo, hi)
                    for lo, hi in ((0.0, 0.2), (0.2, 0.5)))
-    return F.expect(square, tol)
+    return F.expect(square)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +252,7 @@ class IFCurve:
 
 
 def if_curve(measure_id, F: Distribution, grid: Sequence[float],
-             with_oracle: bool = False,
-             tol: Tolerance = DEFAULT_TOL) -> IFCurve:
+             with_oracle: bool = False) -> IFCurve:
     """Evaluate the closed-form IF (and optionally the oracle) on a grid,
     for a measure id or a MeasureFunctional.
 
@@ -283,19 +270,19 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
     oracle_err = np.full(zs.shape, np.nan) if with_oracle else None
     point_errors = []
 
-    kernel = _kernel_or_error(T, F, tol)
+    kernel = _kernel_or_error(T, F)
     valid = []
     # a non-finite closed value is recorded below, an oracle's as its error
     with np.errstate(all="ignore"):
         for i, z in enumerate(zs):
             try:
-                z = _check_closed_point(T, F, z, kernel)
+                z = _check_closed_point(T, z, kernel)
                 valid.append(i)
             except Exception as exc:  # recorded, not fatal
                 point_errors.append((i, f"closed: {exc}"))
             if with_oracle:
                 try:
-                    est = gateaux_if(T, F, float(z), tol)
+                    est = gateaux_if(T, F, float(z))
                     oracle[i] = est.value
                     oracle_err[i] = est.error
                 except Exception as exc:
@@ -375,97 +362,97 @@ class PrintedVariant:
     printed_form: str
     normative_form: str
     note: str
-    evaluate: Callable  # (F, z, tol, spec) -> float
+    evaluate: Callable  # (F, z, spec) -> float
 
 
-def _v_mld_s2(F, z, tol, spec):
+def _v_mld_s2(F, z, spec):
     mu = F.mean()
-    nu0 = -F.expect(spec.h, tol, key=spec.h_key)
+    nu0 = -F.expect(spec.h, key=spec.h_key)
     return (z - mu) / mu + (math.log(z) - nu0)
 
 
-def _v_theil_s2(F, z, tol, spec):
+def _v_theil_s2(F, z, spec):
     mu = F.mean()
-    nu = F.expect(spec.h, tol, key=spec.h_key)  # E X log X
+    nu = F.expect(spec.h, key=spec.h_key)  # E X log X
     log_spec = make_spec("champernowne")  # h = log
-    nu0 = F.expect(log_spec.h, tol, key=log_spec.h_key)
+    nu0 = F.expect(log_spec.h, key=log_spec.h_key)
     zlogz = z * math.log(z) if z > 0 else 0.0
     return (zlogz - nu) / mu - (mu + nu0) / (mu * mu)
 
 
-def _v_ge_s2(F, z, tol, spec):
+def _v_ge_s2(F, z, spec):
     a = spec.param
     mu = F.mean()
-    ma = F.expect(spec.h, tol, key=spec.h_key)
+    ma = F.expect(spec.h, key=spec.h_key)
     # second term printed without a division bar: read as a product
     return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
             - ma * (a - 1.0) * mu ** (a + 1.0) * (z - mu))
 
 
-def _v_atkinson_s2(F, z, tol, spec):
+def _v_atkinson_s2(F, z, spec):
     b = spec.param
     mu = F.mean()
-    mb = F.expect(spec.h, tol, key=spec.h_key)
+    mb = F.expect(spec.h, key=spec.h_key)
     norm = mb ** (1.0 / b)
     return (norm / mu) * ((z - mu) / mu - (z ** b - mb) / (b * mu * mb))
 
 
-def _v_kolm_s2(F, z, tol, spec):
+def _v_kolm_s2(F, z, spec):
     a = spec.param
     mu = F.mean()
-    k = F.expect(spec.h, tol, key=spec.h_key)
+    k = F.expect(spec.h, key=spec.h_key)
     return (1.0 / a) * ((z - mu) - (math.exp(-a * mu) / k - 1.0))
 
 
-def _v_gini_appendix(F, z, tol, spec):
+def _v_gini_appendix(F, z, spec):
     mu = F.mean()
-    r = lorenz_area(F, tol)
+    r = lorenz_area(F)
     partial = F.partial_mean(z)
     fz = float(F.cdf(z))
     # literal reading: cumulative functional not divided by the mean
     return 2.0 * (r - partial + (z / mu) * (r - (1.0 - fz)))
 
 
-def _v_mld_appendix(F, z, tol, spec):
+def _v_mld_appendix(F, z, spec):
     mu = F.mean()
     mld = make_spec("mld")  # h = -log, so E log X = -E h(X)
-    nu = -F.expect(mld.h, tol, key=mld.h_key)
+    nu = -F.expect(mld.h, key=mld.h_key)
     return -(math.log(z) - nu) + (z - mu) / mu
 
 
-def _v_theil_appendix(F, z, tol, spec):
+def _v_theil_appendix(F, z, spec):
     mu = F.mean()
-    nu = F.expect(spec.h, tol, key=spec.h_key)  # E X log X
+    nu = F.expect(spec.h, key=spec.h_key)  # E X log X
     zlogz = z * math.log(z) if z > 0 else 0.0
     return (zlogz - nu) / mu - (nu + mu) * (z - mu) / (mu * mu)
 
 
-def _v_ge_appendix(F, z, tol, spec):
+def _v_ge_appendix(F, z, spec):
     a = spec.param
     mu = F.mean()
-    ma = F.expect(spec.h, tol, key=spec.h_key)
+    ma = F.expect(spec.h, key=spec.h_key)
     return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
             - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0)))
 
 
-def _v_ge_without_coefficient(F, z, tol, spec):
+def _v_ge_without_coefficient(F, z, spec):
     a = spec.param
     mu = F.mean()
-    ma = F.expect(spec.h, tol, key=spec.h_key)
+    ma = F.expect(spec.h, key=spec.h_key)
     return (z ** a - ma) - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0))
 
 
-def _v_atkinson_appendix(F, z, tol, spec):
+def _v_atkinson_appendix(F, z, spec):
     b = spec.param  # the display's 1 - e
     mu = F.mean()
-    mb = F.expect(spec.h, tol, key=spec.h_key)  # the display's nu = E X^b
+    mb = F.expect(spec.h, key=spec.h_key)  # the display's nu = E X^b
     return (-mb ** (1.0 / b - 1.0) * (z ** b - mb) / (b * mu)
             + mb ** (1.0 / b) * (z - mu) / (mu * mu))
 
 
-def _v_champernowne_s2(F, z, tol, spec):
+def _v_champernowne_s2(F, z, spec):
     mu = F.mean()
-    nu0 = F.expect(spec.h, tol, key=spec.h_key)  # E log X
+    nu0 = F.expect(spec.h, key=spec.h_key)  # E log X
     return (math.exp(nu0) / mu) * ((z - mu) / mu - (math.log(z) - nu0))
 
 
@@ -582,7 +569,7 @@ _VARIANTS = {
             "each piece a single fraction over D^2; A3 upper endpoint read "
             "as uep(F)",
             "bracket-normalized reading matches the oracle",
-            lambda F, z, tol, spec: if_special("qsr", F, z, tol),
+            lambda F, z, spec: if_special("qsr", F, z),
         ),
     ),
 }

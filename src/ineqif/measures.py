@@ -23,7 +23,6 @@ from .errors import (
     MomentDiverges,
     NonConvergence,
 )
-from .numeric import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "TheilLikeSpec",
@@ -201,8 +200,7 @@ class FunctionalValue:
     eh: float
 
 
-def functional_value(spec: TheilLikeSpec, F: Distribution,
-                     tol: Tolerance = DEFAULT_TOL) -> FunctionalValue:
+def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
     """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu))."""
     if spec.requires_positive and F.mass(0.0) > 0:
         raise DomainError(
@@ -211,7 +209,7 @@ def functional_value(spec: TheilLikeSpec, F: Distribution,
         )
     mu = F.mean()
     try:
-        eh = F.expect(spec.h, tol, key=spec.h_key)
+        eh = F.expect(spec.h, key=spec.h_key)
     except NonConvergence as exc:
         raise MomentDiverges(
             f"E h(X) fails to converge for {spec.measure_id} on "
@@ -232,7 +230,7 @@ def functional_value(spec: TheilLikeSpec, F: Distribution,
 # ---------------------------------------------------------------------------
 
 
-def _gini_first_moment(F: Distribution, tol: Tolerance) -> float:
+def _gini_first_moment(F: Distribution) -> float:
     """S(F) = E[X * Fmid(X)], with Fmid the mid-distribution function.
 
     The Lorenz-curve area satisfies R(F) = 1 - S(F)/mu, so the Gini
@@ -243,7 +241,7 @@ def _gini_first_moment(F: Distribution, tol: Tolerance) -> float:
     """
     if isinstance(F, Contaminated):
         eps, z, base = F.epsilon, F.z, F.base
-        s_base = _gini_first_moment(base, tol)
+        s_base = _gini_first_moment(base)
         cross = base.mean() - base.partial_mean(z) + z * float(base.cdf(z))
         return ((1.0 - eps) ** 2 * s_base + eps * (1.0 - eps) * cross
                 + 0.5 * eps * eps * z)
@@ -251,18 +249,18 @@ def _gini_first_moment(F: Distribution, tol: Tolerance) -> float:
         # on sorted data sum_i x_(i) Fmid(x_(i)) = sum_i x_(i) (i - 1/2)/n,
         # ties included: a tie block shares the mean of its ranks
         return float(np.dot(F.values, np.arange(0.5, F.n))) / F.n ** 2
-    return F.expect(lambda x: np.asarray(x, dtype=float) * F.cdf(x), tol,
+    return F.expect(lambda x: np.asarray(x, dtype=float) * F.cdf(x),
                     key="gini_first_moment")
 
 
-def lorenz_area(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
+def lorenz_area(F: Distribution) -> float:
     """R(F) = integral of the Lorenz curve over [0, 1]."""
-    return 1.0 - _gini_first_moment(F, tol) / F.mean()
+    return 1.0 - _gini_first_moment(F) / F.mean()
 
 
-def gini(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
+def gini(F: Distribution) -> float:
     """Gini coefficient 1 - 2 * R(F)."""
-    return 2.0 * _gini_first_moment(F, tol) / F.mean() - 1.0
+    return 2.0 * _gini_first_moment(F) / F.mean() - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +270,15 @@ def gini(F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def qsr_components(F: Distribution):
     """(N, D, Q(0.2), Q(0.8)): top-quintile mass E[X 1{X > Q(0.8)}] and
-    bottom-quintile mass E[X 1{X <= Q(0.2)}]."""
+    bottom-quintile mass E[X 1{X <= Q(0.2)}]; D <= 0 raises, as both the
+    ratio and its IF divide by it."""
     q1 = F.quantile(0.2)
     q4 = F.quantile(0.8)
     d = F.partial_mean(q1)
+    if d <= 0.0:
+        raise DegenerateDenominator(
+            f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
+        )
     n = F.mean() - F.partial_mean(q4)
     return n, d, q1, q4
 
@@ -283,10 +286,6 @@ def qsr_components(F: Distribution):
 def qsr(F: Distribution) -> float:
     """Quintile share ratio N(F)/D(F)."""
     n, d, _, _ = qsr_components(F)
-    if d <= 0.0:
-        raise DegenerateDenominator(
-            f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
-        )
     return n / d
 
 
@@ -302,22 +301,22 @@ class MeasureFunctional:
     id: str
     kind: str  # "theil_like" | "gini" | "qsr" | "custom"
     spec: Optional[TheilLikeSpec] = None
-    fn: Optional[Callable] = None
+    fn: Optional[Callable] = None  # F -> T(F), for kind "custom"
 
-    def evaluate(self, F: Distribution, tol: Tolerance = DEFAULT_TOL) -> float:
+    def evaluate(self, F: Distribution) -> float:
         if self.kind == "theil_like":
-            return functional_value(self.spec, F, tol).value
+            return functional_value(self.spec, F).value
         if self.kind == "gini":
-            return gini(F, tol)
+            return gini(F)
         if self.kind == "qsr":
             return qsr(F)
-        return self.fn(F, tol)
+        return self.fn(F)
 
 
 def mean_functional() -> MeasureFunctional:
     """The mean as a functional; its influence function is z - mu."""
     return MeasureFunctional(id="mean", kind="custom",
-                             fn=lambda F, tol: F.mean())
+                             fn=lambda F: F.mean())
 
 
 _FAMILY_TOKENS = {

@@ -4,6 +4,9 @@ Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
 one-sided derivative-at-zero extrapolation, and monotone root bracketing.
 Everything here is a pure function of its inputs.
 
+`Tolerance` is `integrate`'s argument alone: every layer above it
+integrates at `DEFAULT_TOL`, so a moment is one number per integrand.
+
 Quadrature cost is mostly a fixed price per integrand call, not per node,
 so `integrate` makes one call per panel split: it evaluates both halves of
 the split panel on 30 nodes at once.

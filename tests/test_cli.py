@@ -30,7 +30,6 @@ from ineqif.errors import (
     NegativeIncome,
     ParseError,
 )
-from ineqif.numeric import DEFAULT_TOL
 
 
 def _run_cli(argv, stdin=b""):
@@ -450,9 +449,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-5"])
     def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
         # an infinite --tol would pass the known-wrong appendix Gini row
-        assert main(["verify", "--ids", "gini", "--dist", "uniform:0,1",
-                     f"--tol={tol}"]) == 1
-        assert "--tol must be finite and > 0" in capsys.readouterr().err
+        for command in (["verify", "--ids", "gini"],
+                        ["compare-ge", "--alpha", "2"]):
+            assert main(command + ["--dist", "uniform:0,1",
+                                   f"--tol={tol}"]) == 1
+            assert "--tol must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "measure --ids theil --dist exp:1 --tol 1e-5",
+        "variance --ids theil --dist exp:1 --tol 1e-5",
+        "if-curve --id theil --dist exp:1 --tol 1e-5",
+        "mc-study --id theil --dist exp:1 --tol 1e-5",
+        "measure --ids theil --dist exp:1 --grid 1:2:2:lin",
+        "variance --ids theil --dist exp:1 --grid 1:2:2:lin",
+        "mc-study --id theil --dist exp:1 --grid 1:2:2:lin",
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, command,
+                                                        capsys):
+        # --tol is the oracle gate of verify and compare-ge; --grid is read
+        # by if-curve, verify and compare-ge
+        assert main(command.split()) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_unknown_flag(self):
         assert main(["measure", "--id", "theil", "--dist", "exp:1",
@@ -640,8 +657,15 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert all(r["verdict"] == "SKIP" for r in payload["rows"])
 
+    @pytest.mark.parametrize("command", ["verify --ids theil",
+                                         "compare-ge --alpha 2"])
+    def test_gate_tolerance_defaults_to_1e_5(self, command, capsys):
+        assert main(command.split() + ["--dist", "exp:1", "--grid",
+                                       "1:2:2:lin", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-05
+
     def test_normative_failure_exits_three(self, monkeypatch, capsys):
-        broken = lambda T, F, z, tol: 1e6
+        broken = lambda T, F, z: 1e6
         monkeypatch.setattr(cli, "if_special", broken)
         rc = main(["verify", "--dist", "exp:1", "--ids", "theil"])
         assert rc == 3
@@ -666,8 +690,7 @@ class TestCompareGeCommand:
         T = parse_measure_id("ge:2")
         row = {v.source: v for v in printed_variants(T)}["without_coefficient"]
         for r in rows:
-            assert r["if_without_coeff"] == row.evaluate(F, r["z"],
-                                                         DEFAULT_TOL, T.spec)
+            assert r["if_without_coeff"] == row.evaluate(F, r["z"], T.spec)
         assert main(["verify", "--dist", "exp:1", "--ids", "ge:2",
                      "--format", "json"]) == 0
         verdicts = {r["formula_source"]: r

@@ -8,6 +8,7 @@ from ineqif import (
     Dirac,
     Empirical,
     asymptotic_variance,
+    contaminate,
     default_grid,
     gateaux_if,
     if_curve,
@@ -23,7 +24,6 @@ from ineqif import (
 )
 from ineqif.cli import parse_distribution
 from ineqif.errors import DomainError, InvalidParameter, KinkPoint, MomentDiverges
-from ineqif.numeric import DEFAULT_TOL
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -66,7 +66,7 @@ class TestTheorem1:
         assert rows or T.spec.family == "kolm"
         for v in rows:
             for z in default_grid(F, mid)[::5]:
-                printed = v.evaluate(F, float(z), DEFAULT_TOL, T.spec)
+                printed = v.evaluate(F, float(z), T.spec)
                 normative = if_special(T, F, float(z))
                 assert printed == pytest.approx(
                     normative, rel=1e-11, abs=1e-13), v.source
@@ -129,9 +129,21 @@ class TestGiniIF:
         oracle = gateaux_if(parse_measure_id("gini"), F, z)
         assert if_special("gini", F, z) == pytest.approx(oracle.value, abs=1e-5)
 
-    def test_atom_flagged(self):
-        with pytest.raises(KinkPoint):
-            if_special("gini", Dirac(2.0), 2.0)
+    @pytest.mark.parametrize("case,z", [
+        ("sample", 1.0), ("sample", 2.0), ("sample", 5.0), ("sample", 7.0),
+        ("dirac", 2.0), ("contaminated", 1.0),
+    ])
+    def test_matches_oracle_on_an_atom(self, case, z):
+        # the closed form reads F(z) and the partial mean at z with the
+        # atom counted in full, and so does the oracle's limit
+        F = {"sample": Empirical.from_values([1, 2, 2, 5, 7]),
+             "dirac": Dirac(2.0),
+             "contaminated": contaminate(make_distribution("exp", 1.0),
+                                         0.3, 1.0)}[case]
+        assert F.mass(z) > 0.0
+        oracle = gateaux_if(parse_measure_id("gini"), F, z)
+        assert if_special("gini", F, z) == pytest.approx(oracle.value,
+                                                         abs=1e-9)
 
 
 class TestQsrIF:
@@ -173,7 +185,7 @@ class TestGateauxOracle:
         from ineqif import MeasureFunctional
 
         T = MeasureFunctional(id="const", kind="custom",
-                              fn=lambda F, tol: 0.25)
+                              fn=lambda F: 0.25)
         est = gateaux_if(T, make_distribution("exp", 1.0), 2.0)
         assert est.value == 0.0
 
@@ -214,12 +226,7 @@ class TestAsymptoticVariance:
             for mid in ("theil", "mld", "gini", "qsr"):
                 assert asymptotic_variance(parse_measure_id(mid), F) >= 0.0
 
-    def test_qsr_on_a_sample_lists_no_atoms(self, monkeypatch):
-        # the split is chosen from the kind: a sample's atom list is never built
-        def no_atoms(self):
-            raise AssertionError("atoms() listed")
-
-        monkeypatch.setattr(Empirical, "atoms", no_atoms)
+    def test_qsr_on_a_sample_lists_no_atoms(self):
         s = Empirical.from_values(np.random.default_rng(3).lognormal(size=500))
         # the QSR IF by its three pieces, at every observation (two of them
         # sit on the quintile boundaries, where if_special refuses)
@@ -353,7 +360,7 @@ class TestCoefficientAdjudication:
             z = float(z)
             oracle = gateaux_if(T, F, z).value
             with_c = if_special(T, F, z)
-            without_c = without.evaluate(F, z, DEFAULT_TOL, T.spec)
+            without_c = without.evaluate(F, z, T.spec)
             tol = max(1e-5, 1e-4 * abs(with_c))
             assert abs(with_c - oracle) <= tol
             excess = max(excess, abs(without_c - oracle) / tol)
@@ -368,18 +375,18 @@ class TestPrintedVariants:
         assert not v.matches_normative
         z = 2.0
         oracle = gateaux_if(parse_measure_id("mld"), F, z).value
-        printed = v.evaluate(F, z, DEFAULT_TOL, parse_measure_id("mld").spec)
+        printed = v.evaluate(F, z, parse_measure_id("mld").spec)
         assert abs(printed - oracle) > 0.1
         appendix = variants["appendix_printed"]
         assert appendix.matches_normative
-        assert appendix.evaluate(F, z, DEFAULT_TOL, None) == pytest.approx(
+        assert appendix.evaluate(F, z, None) == pytest.approx(
             oracle, abs=1e-5)
 
     def test_gini_appendix_literal_reading_breaks_off_unit_mean(self):
         F = make_distribution("uniform", 0.0, 1.0)
         v = printed_variants("gini")[0]
         assert v.source == "appendix_printed"
-        literal = v.evaluate(F, 0.5, DEFAULT_TOL, None)
+        literal = v.evaluate(F, 0.5, None)
         oracle = gateaux_if(parse_measure_id("gini"), F, 0.5).value
         assert abs(literal - oracle) > 0.1
 

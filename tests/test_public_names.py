@@ -26,3 +26,22 @@ def test_every_exported_function_and_class_is_in_its_modules_all():
         module = importlib.import_module(obj.__module__)
         if hasattr(module, "__all__"):
             assert public in module.__all__, f"{module.__name__}.{public}"
+
+
+@pytest.mark.parametrize("name", ["cli", "distributions", "measures",
+                                  "influence", "estimation"])
+def test_no_public_callable_takes_a_quadrature_tolerance(name):
+    # the quadrature's error target is `integrate`'s argument alone
+    module = importlib.import_module(f"ineqif.{name}")
+    for public, obj in vars(module).items():
+        if public.startswith("_") or getattr(obj, "__module__", None) \
+                != module.__name__:
+            continue
+        callables = [(public, obj)]
+        if inspect.isclass(obj):
+            callables += [(f"{public}.{attr}", fn)
+                          for attr, fn in vars(obj).items()
+                          if not attr.startswith("_") and callable(fn)]
+        for label, fn in callables:
+            if inspect.isfunction(fn) or inspect.isclass(fn):
+                assert "tol" not in inspect.signature(fn).parameters, label
