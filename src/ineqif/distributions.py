@@ -8,14 +8,19 @@ class derives the rest from them: the support ends lep = Q(0) and
 uep = Q(1), and the Lorenz curve from the partial mean at Q(p) (exact
 through atoms, no quadrature).
 
-A parametric model computes its expectations in probability space, in the
-quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on finite
-intervals only. The upper half reads the inverse survival function
-Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and both ends
-are graded as p = u**8, which makes power-law ends regular integrands.
-The quantile carries the scale, so the quadrature nodes do not depend on
-it. Every such integral runs at `integrate`'s one error target, so a
-cached moment is keyed by its integrand alone. Each kind keeps its
+A parametric model answers a keyed moment from its closed form first
+(`_moment`): E X^c on every kind, E log X and E X log X on every kind but
+the uniform (there they would cancel near equality), E e^{-aX} on the
+exponential and the uniform, and the Gini's first moment E[X F(X)].
+Outside a form's domain, and for every other expectation, it computes the
+moment in probability space, in the quantile form E g(X) = integral over
+p in [0, 1] of g(Q(p)), on finite intervals only; that quadrature also
+raises where a moment diverges. The upper half reads the inverse survival
+function Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and
+both ends are graded as p = u**8, which makes power-law ends regular
+integrands. The quantile carries the scale, so the quadrature nodes do not
+depend on it. Every such integral runs at `integrate`'s one error target,
+so a cached moment is keyed by its integrand alone. Each kind keeps its
 density `pdf` as an independent x-space route for the tests.
 
 Mixtures keep their atom explicit: expectations over a contaminated
@@ -62,12 +67,14 @@ __all__ = [
 def _special():
     """scipy.special, imported on first use: it is most of the import time
     of the package, and only lognormal draws and QSR grids (`ndtri` on
-    arrays) and Singh-Maddala partial means (`betainc`) need it."""
+    arrays), Singh-Maddala partial means (`betainc`) and Singh-Maddala log
+    moments (`digamma`) need it."""
     from scipy import special
     return special
 
 
 _SQRT_HALF = math.sqrt(0.5)
+_EULER = 0.5772156649015329  # Euler's gamma, -digamma(1)
 _inv_ncdf = NormalDist().inv_cdf
 
 # Both ends of the quantile form are graded as p = u**_GRADE: a power-law
@@ -151,18 +158,51 @@ class Distribution:
     def expect(self, g: Callable, key=None) -> float:
         """E[g(X)]; results are cached per key when a key is given.
 
-        On a parametric model this is the quantile form, the integral of
-        g(Q(p)) + g(Q(1-p)) over p in [0, 1/2] (see `_tails_integral`);
-        atomic models sum over their atoms exactly."""
-        if key is not None:
-            ck = ("expect", key)
-            hit = self._cache.get(ck)
-            if hit is not None:
-                return hit
-        value = self._expect_impl(g)
-        if key is not None:
+        A key names its integrand (`pow:c`, `log`, `neglog`, `xlogx`,
+        `expneg:a`, `gini_first_moment`). On a parametric model a keyed
+        moment with a closed form (`_moment`) is that form; any other is
+        the quantile form, the integral of g(Q(p)) + g(Q(1-p)) over p in
+        [0, 1/2] (see `_tails_integral`). Atomic models sum over their
+        atoms exactly."""
+        if key is None:
+            return self._expect_impl(g)
+        ck = ("expect", key)
+        value = self._cache.get(ck)
+        if value is None:
+            value = self._moment(key)
+            if value is None:
+                value = self._expect_impl(g)
             self._cache[ck] = value
         return value
+
+    def _moment(self, key):
+        """The closed form of the moment `key` names, or None: for a key
+        the kind has no form for, outside the form's domain (the moment
+        diverges, and the quadrature raises as it would anyway) and where
+        the form overflows. `neglog` is minus `log`, and the Gini's first
+        moment is mu (1 + G)/2."""
+        if not isinstance(key, str):
+            return None
+        name, sep, arg = key.partition(":")
+        form = {"neglog": "log", "gini_first_moment": "gini"}.get(name, name)
+        try:
+            value = self._closed_form(form, float(arg) if sep else None)
+            if value is None:
+                return None
+            if name == "neglog":
+                value = -value
+            elif name == "gini_first_moment":
+                value = 0.5 * self.mean() * (1.0 + value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            # a malformed key, a pole or a value out of float range
+            return None
+        return value if math.isfinite(value) else None
+
+    def _closed_form(self, name: str, c):
+        """The kind's closed forms by key name: E X^c (`pow`), E log X
+        (`log`), E X log X (`xlogx`), E e^{-cX} (`expneg`) and the Gini
+        coefficient (`gini`); None where it has none."""
+        return None
 
     def _expect_impl(self, g) -> float:
         return self._tails_integral(g, 0.0, 0.5)
@@ -274,6 +314,20 @@ class Exponential(Distribution):
         lt = self.rate * t
         return (1.0 - math.exp(-lt) * (1.0 + lt)) / self.rate
 
+    def _closed_form(self, name, c):
+        rate = self.rate
+        if name == "pow":
+            return math.gamma(1.0 + c) / rate ** c if c > -1.0 else None
+        if name == "log":
+            return -_EULER - math.log(rate)
+        if name == "xlogx":
+            return (1.0 - _EULER - math.log(rate)) / rate
+        if name == "expneg":
+            return rate / (rate + c) if rate + c > 0.0 else None
+        if name == "gini":
+            return 0.5
+        return None
+
     def descriptor(self):
         return f"exp:{_fmt(self.rate)}"
 
@@ -326,6 +380,19 @@ class Pareto(Distribution):
         if math.isinf(t):
             return self.mean()
         return self.mean() * (1.0 - (t / self.scale) ** (1.0 - self.shape))
+
+    def _closed_form(self, name, c):
+        k, s = self.shape, self.scale
+        if name == "pow":
+            return k * s ** c / (k - c) if c < k else None
+        if name == "log":
+            return math.log(s) + 1.0 / k
+        if name == "xlogx":
+            # X log X under the size-biased law, a Pareto of shape k - 1
+            return self.mean() * (math.log(s) + 1.0 / (k - 1.0))
+        if name == "gini":
+            return 1.0 / (2.0 * k - 1.0)
+        return None
 
     def descriptor(self):
         return f"pareto:{_fmt(self.shape)},{_fmt(self.scale)}"
@@ -389,6 +456,19 @@ class LogNormal(Distribution):
             return self.mean()
         u = (math.log(t) - self.log_mean - self.sigma ** 2) / self.sigma
         return self.mean() * _ncdf(u)
+
+    def _closed_form(self, name, c):
+        m, sigma = self.log_mean, self.sigma
+        if name == "pow":
+            return math.exp(c * m + 0.5 * (c * sigma) ** 2)
+        if name == "log":
+            return m
+        if name == "xlogx":
+            # the size-biased law is lognormal(m + sigma^2, sigma)
+            return self.mean() * (m + sigma * sigma)
+        if name == "gini":
+            return math.erf(0.5 * sigma)
+        return None
 
     def descriptor(self):
         return f"lognormal:{_fmt(self.log_mean)},{_fmt(self.sigma)}"
@@ -459,6 +539,29 @@ class SinghMaddala(Distribution):
         frac = float(_special().betainc(1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u))
         return self.mean() * frac
 
+    def _closed_form(self, name, c):
+        # E X^c = b^c G(1 + c/a) G(q - c/a) / G(q), for -a < c < a q; E log X
+        # and E X log X are its derivatives in c at c = 0 and c = 1
+        a, b, q = self.a, self.b, self.q
+        if name == "pow":
+            if not -a < c < a * q:
+                return None
+            # (a + c)/a, not 1 + c/a: exact where c nears -a
+            return b ** c * math.exp(math.lgamma((a + c) / a)
+                                     + math.lgamma(q - c / a) - math.lgamma(q))
+        if name == "log":
+            psi = _special().digamma
+            return math.log(b) + float(psi(1.0) - psi(q)) / a
+        if name == "xlogx":
+            psi = _special().digamma
+            return self.mean() * (math.log(b) + float(
+                psi(1.0 + 1.0 / a) - psi(q - 1.0 / a)) / a)
+        if name == "gini":
+            return 1.0 - math.exp(math.lgamma(q) + math.lgamma(2.0 * q - 1.0 / a)
+                                  - math.lgamma(q - 1.0 / a)
+                                  - math.lgamma(2.0 * q))
+        return None
+
     def descriptor(self):
         return f"sm:{_fmt(self.a)},{_fmt(self.b)},{_fmt(self.q)}"
 
@@ -504,6 +607,33 @@ class Uniform(Distribution):
             return 0.0
         t = min(t, self.hi)
         return (t * t - self.lo * self.lo) / (2.0 * (self.hi - self.lo))
+
+    def _closed_form(self, name, c):
+        # E log X and E X log X have none here that keeps its precision
+        # near equality: the measures read their difference from log mu
+        lo, hi = self.lo, self.hi
+        d = hi - lo
+        if name == "pow":
+            # (hi^t - lo^t)/(t d) with t = c + 1, factored out of the end
+            # whose power dominates, so the expm1 argument stays <= 0: it
+            # neither cancels near equality nor overflows far from it
+            t = c + 1.0
+            if t > 0.0:
+                u = -d / hi
+                # log(lo/hi), -inf where lo = 0 or lo/hi underflows
+                log_ratio = math.log1p(u) if u > -1.0 else -math.inf
+                return hi ** c * math.expm1(t * log_ratio) / (t * u)
+            if lo == 0.0:
+                return None  # E X^c diverges at 0 for c <= -1
+            if t == 0.0:
+                return math.log1p(d / lo) / d
+            return lo ** t * -math.expm1(t * math.log1p(d / lo)) / (-t * d)
+        if name == "expneg":
+            w = c * d
+            return math.exp(-c * lo) * -math.expm1(-w) / w
+        if name == "gini":
+            return d / (3.0 * (hi + lo))
+        return None
 
     def descriptor(self):
         return f"uniform:{_fmt(self.lo)},{_fmt(self.hi)}"
