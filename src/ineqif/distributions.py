@@ -26,7 +26,8 @@ density `pdf` as an independent x-space route for the tests.
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
 quadrature across the atom. The numerical Gateaux oracle depends on that
-exact linearity in eps.
+exact linearity in eps, and its complex step takes a purely imaginary eps
+through the mean, the atom masses and the moments unchanged.
 """
 from __future__ import annotations
 
@@ -92,6 +93,12 @@ def _probit(ps: np.ndarray) -> np.ndarray:
     over a lognormal then loads no scipy."""
     return np.fromiter(map(_inv_ncdf, ps.ravel().tolist()), float,
                        count=ps.size).reshape(ps.shape)
+
+
+def _scalar(x):
+    """x as a Python float, or as a Python complex where it is complex (on
+    the complex-step oracle's path, whose eps is imaginary)."""
+    return complex(x) if isinstance(x, complex) else float(x)
 
 
 def _fmt(v: float) -> str:
@@ -747,7 +754,12 @@ def Dirac(location: float) -> Empirical:
 
 @dataclass(frozen=True, eq=False)
 class Contaminated(Distribution):
-    """Mixture (1-eps)*F + eps*Dirac(z), exact in the atom weight."""
+    """Mixture (1-eps)*F + eps*Dirac(z), exact in the atom weight.
+
+    A purely imaginary eps is the complex-step oracle's path: the mean, the
+    atom masses, partial means and moments are then complex, and linear in
+    eps as for a real weight. The quantile needs a real eps in [0, 1].
+    """
 
     base: Distribution
     epsilon: float
@@ -756,8 +768,13 @@ class Contaminated(Distribution):
     kind = "contaminated"
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidParameter(f"epsilon must be in [0, 1], got {self.epsilon}")
+        eps = self.epsilon
+        if isinstance(eps, complex):
+            if not (eps.real == 0.0 and math.isfinite(eps.imag)):
+                raise InvalidParameter(
+                    f"complex epsilon must be finite and imaginary, got {eps}")
+        elif not 0.0 <= eps <= 1.0:
+            raise InvalidParameter(f"epsilon must be in [0, 1], got {eps}")
         if not self.z >= 0.0:
             raise InvalidParameter(f"contamination point must be >= 0, got {self.z}")
 
@@ -804,7 +821,8 @@ class Contaminated(Distribution):
             return z
         return max(self.base.quantile((p - eps) / w), z)
 
-    def _mean(self):
+    def mean(self):
+        # uncached: complex on the complex-step path, and one multiply-add
         return (1.0 - self.epsilon) * self.base.mean() + self.epsilon * self.z
 
     def _expect_impl(self, g):
@@ -830,8 +848,9 @@ class Contaminated(Distribution):
         return pm
 
     def descriptor(self):
-        return (f"contaminated({self.base.descriptor()},"
-                f"eps={_fmt(self.epsilon)},z={_fmt(self.z)})")
+        eps = self.epsilon
+        eps = str(eps) if isinstance(eps, complex) else _fmt(eps)
+        return f"contaminated({self.base.descriptor()},eps={eps},z={_fmt(self.z)})"
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +899,9 @@ def make_distribution(kind: str, *params: float) -> Distribution:
 
 
 def contaminate(base: Distribution, epsilon: float, z: float) -> Contaminated:
-    """Return the mixture (1-eps)*base + eps*Dirac(z)."""
-    return Contaminated(base, float(epsilon), float(z))
+    """Return the mixture (1-eps)*base + eps*Dirac(z); eps may be purely
+    imaginary (see `Contaminated`)."""
+    return Contaminated(base, _scalar(epsilon), float(z))
 
 
 def scaled(F: Distribution, c: float) -> Distribution:

@@ -9,13 +9,14 @@ derivative machinery applies to every measure.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Contaminated, Distribution, Empirical, _fmt
+from .distributions import Contaminated, Distribution, Empirical, _fmt, _scalar
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -57,7 +58,16 @@ def _xlogx(s):
     return out if out.ndim else float(out)
 
 
-# (function, derivative) pairs the quadruples are built from
+def _exp(s):
+    return cmath.exp(s) if isinstance(s, complex) else math.exp(s)
+
+
+def _log(s):
+    return cmath.log(s) if isinstance(s, complex) else math.log(s)
+
+
+# (function, derivative) pairs the quadruples are built from; each function
+# keeps a complex argument complex, for the complex-step oracle
 _ZERO = (lambda s: 0.0, lambda s: 0.0)
 _ONE = (lambda s: 1.0, lambda s: 0.0)
 _IDENTITY = (lambda s: s, lambda s: 1.0)
@@ -67,13 +77,13 @@ _XLOGX = (_xlogx, lambda s: 1.0 + np.log(s))
 
 
 def _power(a: float):
-    return (lambda s: np.asarray(s, dtype=float) ** a,
-            lambda s: a * np.asarray(s, dtype=float) ** (a - 1.0))
+    return (lambda s: np.asarray(s) ** a,
+            lambda s: a * np.asarray(s) ** (a - 1.0))
 
 
 def _exp_neg(a: float):
-    return (lambda s: np.exp(-a * np.asarray(s, dtype=float)),
-            lambda s: -a * np.exp(-a * np.asarray(s, dtype=float)))
+    return (lambda s: np.exp(-a * np.asarray(s)),
+            lambda s: -a * np.exp(-a * np.asarray(s)))
 
 
 @dataclass(frozen=True)
@@ -163,14 +173,14 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
 
     if family == "champernowne":
         return _member("champernowne", "champernowne", None,
-                       (lambda s: 1.0 - math.exp(s), lambda s: -math.exp(s)),
+                       (lambda s: 1.0 - _exp(s), lambda s: -_exp(s)),
                        _LOG, _ONE, _LOG, True, "log")
 
     if family == "kolm":
         if not a > 0:
             raise InvalidParameter(f"kolm requires alpha > 0, got {a}")
         return _member("kolm", "kolm", a,
-                       (lambda s: math.log(s) / a, lambda s: 1.0 / (a * s)),
+                       (lambda s: _log(s) / a, lambda s: 1.0 / (a * s)),
                        _exp_neg(a), _exp_neg(a), _ZERO, False, f"expneg:{a!r}")
 
     raise InvalidParameter(f"unknown family {family!r}")
@@ -192,7 +202,9 @@ def atkinson_from_appendix_parameter(alpha: float) -> TheilLikeSpec:
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """T(F) together with the intermediates the influence formulas reuse."""
+    """T(F) together with the intermediates the influence formulas reuse:
+    Python floats, or complex on a contaminated model with an imaginary
+    eps (the complex-step oracle's path)."""
 
     value: float
     index_arg: float  # the inner argument I = E h(X)/h1(mu) - h2(mu)
@@ -201,8 +213,11 @@ class FunctionalValue:
 
 
 def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
-    """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu))."""
-    if spec.requires_positive and F.mass(0.0) > 0:
+    """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu)).
+
+    A complex eps in F stays in every intermediate, so T is evaluated along
+    the complex path as it is along the real one."""
+    if spec.requires_positive and F.mass(0.0) != 0:
         raise DomainError(
             f"{spec.measure_id} is undefined at income 0 (h uses log or a "
             "negative power)"
@@ -215,13 +230,13 @@ def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
             f"E h(X) fails to converge for {spec.measure_id} on "
             f"{F.descriptor()}: {exc}"
         ) from exc
-    h1_mu = float(spec.h1(mu))
-    if h1_mu == 0.0 or not math.isfinite(h1_mu):
+    h1_mu = _scalar(spec.h1(mu))
+    if h1_mu == 0.0 or not cmath.isfinite(h1_mu):
         raise DegenerateDenominator(
             f"h1(mu)={h1_mu!r} for {spec.measure_id} at mu={mu!r}"
         )
-    index_arg = eh / h1_mu - float(spec.h2(mu))
-    return FunctionalValue(value=float(spec.tau(index_arg)),
+    index_arg = eh / h1_mu - _scalar(spec.h2(mu))
+    return FunctionalValue(value=_scalar(spec.tau(index_arg)),
                            index_arg=index_arg, mu=mu, eh=eh)
 
 

@@ -223,7 +223,8 @@ def _adapt(evaluate, lo: float, hi: float, tol: Tolerance) -> float:
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Extrapolated one-sided derivative with an error estimate."""
+    """A one-sided derivative with an error estimate: the last Richardson
+    correction, or the complex step's truncation term (`gateaux_if`)."""
 
     value: float
     error: float

@@ -486,22 +486,36 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "MomentDiverges"
 
-    def test_underflowing_kolm_lever_is_a_numeric_error(self, capsys):
-        # h1(mu) = e^{-mu} ~ 1e-256 passes functional_value's check, but
-        # the IF divides by h1(mu)^2, which underflows to 0
-        rc = main(["variance", "--ids", "kolm:1", "--dist", "sm:2,1000,3",
-                   "--format", "json"])
+    def test_overflowing_lever_is_a_numeric_error(self, capsys):
+        # h1(mu) = mu^-2 ~ 4.4e299 passes functional_value's check, but
+        # the lever reads h1'(mu) = -2 mu^-3, which overflows
+        rc = main(["variance", "--ids", "ge:-2", "--dist",
+                   "uniform:1e-150,2e-150", "--format", "json"])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "DegenerateDenominator"
 
     def test_unbuildable_closed_form_skip_names_the_reason(self, capsys):
-        assert main(["verify", "--ids", "kolm:1", "--dist", "sm:2,1000,3",
-                     "--format", "json"]) == 0
+        assert main(["verify", "--ids", "ge:-2", "--dist",
+                     "uniform:1e-150,2e-150", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         normative = [r for r in rows if r["normative"]]
         assert [r["verdict"] for r in normative] == ["SKIP"]
-        assert "h1(mu)^2=0.0" in normative[0]["note"]
+        assert "h1'(mu)=-inf" in normative[0]["note"]
+
+    def test_tiny_kolm_lever_is_exact(self, capsys):
+        # h1(mu) = e^{-mu} ~ 1.5e-256 at mu = 589: its square underflows,
+        # the two ratios of the lever do not. The reference is the 30-digit
+        # mpmath variance of bench/reference.py.
+        rc, payload = _json_run(["variance", "--ids", "kolm:1", "--dist",
+                                 "sm:2,1000,3"], capsys)
+        assert rc == 0
+        assert payload["results"][0]["sigma2"] == pytest.approx(
+            193515.0395629088, rel=1e-9)
+        rc, payload = _json_run(["verify", "--ids", "kolm:1", "--dist",
+                                 "sm:2,1000,3"], capsys)
+        assert rc == 0
+        assert payload["rows"][0]["verdict"] == "PASS"
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_input_exits_one(self, tmp_path, capsys, kind):
@@ -587,12 +601,12 @@ class TestPerIdErrors:
         assert lines[2].startswith("kolm:1,,DegenerateDenominator: ")
 
     def test_variance_keeps_the_other_rows(self, capsys):
-        assert main(["variance", "--ids", "gini,kolm:1", "--dist",
-                     "sm:2,1000,3", "--format", "json"]) == 2
-        gini_row, kolm_row = json.loads(capsys.readouterr().out)["results"]
+        assert main(["variance", "--ids", "gini,ge:-2", "--dist",
+                     "uniform:1e-150,2e-150", "--format", "json"]) == 2
+        gini_row, ge_row = json.loads(capsys.readouterr().out)["results"]
         assert gini_row["sigma2"] > 0 and "error" not in gini_row
-        assert kolm_row["sigma2"] is None
-        assert kolm_row["error"].startswith("DegenerateDenominator: ")
+        assert ge_row["sigma2"] is None
+        assert ge_row["error"].startswith("DegenerateDenominator: ")
 
     def test_lognormal_at_income_scale(self, capsys):
         # the x-space quadrature returned -1, -10.125 and 10.125 here
@@ -605,6 +619,16 @@ class TestPerIdErrors:
 
 
 class TestIfCurveCommand:
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    def test_oracle_values_are_real(self, mid, capsys):
+        # the complex step evaluates T at a complex eps; only Im T/h leaves
+        rc, payload = _json_run(["if-curve", "--id", mid, "--dist",
+                                 "lognormal:0,0.5", "--oracle"], capsys)
+        assert rc == 0 and not payload["point_errors"]
+        for row in payload["rows"]:
+            assert all(type(row[k]) is float
+                       for k in ("z", "if_closed", "if_oracle", "abs_err"))
+
     def test_columns_and_agreement(self, capsys):
         assert main(["if-curve", "--id", "mld", "--dist", "exp:1",
                      "--grid", "0.5:2:3:lin", "--oracle"]) == 0
@@ -759,7 +783,8 @@ class TestOneAdjudicationRoute:
         assert rc == 0
         theorem1 = payload["rows"][0]
         assert theorem1["verdict"] == "SKIP"
-        assert theorem1["note"] == "closed form: IF is inf at z=1e-160"
+        # the oracle's IF is not finite at either point either
+        assert theorem1["note"] == "no oracle-evaluable grid points"
         rc, curve = _json_run(["if-curve", "--dist", "pareto:3,1", "--id",
                                "atkinson:-2", "--oracle", "--grid",
                                "1e-200:1e-160:2:log"], capsys)

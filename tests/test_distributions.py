@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,30 @@ class TestContamination:
             contaminate(F, 1.1, 1.0)
         with pytest.raises(InvalidParameter):
             contaminate(F, 0.1, -1.0)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.1, math.nan, math.inf])
+    def test_real_epsilon_errors_are_unchanged(self, eps):
+        F = make_distribution("exp", 1.0)
+        with pytest.raises(InvalidParameter,
+                           match=re.escape(f"epsilon must be in [0, 1], got {eps}")):
+            contaminate(F, eps, 1.0)
+
+    def test_imaginary_epsilon_is_linear(self):
+        # the complex-step oracle's path: every mixture quantity keeps eps
+        F = make_distribution("exp", 1.0)
+        C = contaminate(F, 1e-3j, 5.0)
+        assert C.epsilon == 1e-3j
+        assert C.mean() == (1 - 1e-3j) * 1.0 + 1e-3j * 5.0
+        g = lambda x: np.sqrt(x)
+        assert C.expect(g) == (1 - 1e-3j) * F.expect(g) + 1e-3j * math.sqrt(5.0)
+        assert C.mass(5.0) == 1e-3j
+        assert C.descriptor() == "contaminated(exp:1,eps=0.001j,z=5)"
+
+    @pytest.mark.parametrize("eps", [0.5 + 1e-3j, complex(0.0, math.inf),
+                                     complex(0.0, math.nan)])
+    def test_complex_epsilon_must_be_imaginary_and_finite(self, eps):
+        with pytest.raises(InvalidParameter, match="complex epsilon"):
+            contaminate(make_distribution("exp", 1.0), eps, 1.0)
 
 
 class TestExpect:

@@ -1,7 +1,7 @@
 """scipy is imported on first use only: its import is most of the start-up
 time of every CLI command, and only lognormal draws, the QSR's default grid
 on a lognormal model and Singh-Maddala partial means and log moments need
-`scipy.special`.
+`scipy.special`; `verify` needs it on no other model.
 Each check runs in a fresh interpreter, because this test session has scipy
 loaded already."""
 import os
@@ -53,6 +53,18 @@ def test_measure_and_variance_load_scipy_only_for_special_functions(
             f"        rc = main([command, '--ids', 'all', '--dist', {spec!r}])\n"
             "    assert rc == want, (command, rc)")
     assert _scipy_loaded_after(code) is loads_scipy
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "pareto:3,1"])
+def test_verify_leaves_scipy_unloaded(spec):
+    # the complex-step oracle and the QSR's mixture quantiles need no scipy
+    # off the lognormal, whose QSR grid reads ndtri
+    code = ("import contextlib, io, sys\n"
+            "from ineqif.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main(['verify', '--ids', 'all', '--dist', {spec!r}])\n"
+            "assert rc == 0, rc")
+    assert not _scipy_loaded_after(code)
 
 
 def test_lorenz_on_a_lognormal_leaves_scipy_unloaded():

@@ -205,6 +205,87 @@ class TestGateauxOracle:
             assert a == pytest.approx(b, abs=1e-8)
 
 
+COMPLEX_STEP_IDS = ("theil", "mld", "ge:2", "ge:-0.5", "atkinson:0.5",
+                    "champernowne", "kolm:1", "gini")
+SCALE_MODELS = ("exp:1", "uniform:0,1", "pareto:3,1", "lognormal:0,0.5",
+                "sm:2,1,3", "lognormal:10,0.5", "exp:1e-4", "pareto:3,33333.3",
+                "uniform:1e-150,2e-150")
+# Kolm has no value at mu ~ 1e4, where h1(mu) = e^{-mu} underflows
+KOLM_UNDERFLOWS = ("lognormal:10,0.5", "exp:1e-4", "pareto:3,33333.3")
+
+
+class TestComplexStepOracle:
+    """The quadruple family and the Gini take the complex step Im T(F_ih)/h:
+    it agrees with the closed form to rounding, at any scale."""
+
+    @pytest.mark.parametrize("mid,spec_name", [
+        (mid, m) for m in SCALE_MODELS for mid in COMPLEX_STEP_IDS
+        if not (mid == "kolm:1" and m in KOLM_UNDERFLOWS)])
+    def test_agrees_with_the_closed_form(self, mid, spec_name):
+        F = parse_distribution(spec_name)
+        curve = if_curve(mid, F, default_grid(F, mid, 12), with_oracle=True)
+        assert not curve.point_errors
+        scale = np.max(np.abs(curve.closed_form))
+        assert curve.max_abs_discrepancy <= 1e-10 * scale
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        from ineqif import influence
+
+        def no_richardson(*args, **kwargs):
+            raise AssertionError("Richardson extrapolation was called")
+
+        monkeypatch.setattr(influence, "derivative_at_zero_plus",
+                            no_richardson)
+        F = make_distribution("exp", 1.0)
+        for mid in COMPLEX_STEP_IDS:
+            assert math.isfinite(gateaux_if(parse_measure_id(mid), F, 2.0).value)
+
+    def test_huge_if_stays_in_the_linear_regime(self):
+        # IF ~ z^-3; Richardson saturated at 95533.59 here. IF(1) is 0 to
+        # rounding: its O(1) terms cancel
+        F = make_distribution("pareto", 3.0, 1.0)
+        curve = if_curve("atkinson:-2", F, [1e-100, 1e-10, 1.0],
+                         with_oracle=True)
+        assert not curve.point_errors
+        np.testing.assert_allclose(curve.oracle, curve.closed_form,
+                                   rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("mid", ["mld", "champernowne"])
+    def test_zero_income_is_an_oracle_domain_error(self, mid):
+        F = make_distribution("exp", 1.0)
+        with pytest.raises(DomainError, match="undefined at income 0"):
+            gateaux_if(parse_measure_id(mid), F, 0.0)
+        curve = if_curve(mid, F, [0.0, 1.0], with_oracle=True)
+        assert (0, f"oracle: {mid} is undefined at income 0 (h uses log or "
+                   "a negative power)") in curve.point_errors
+        assert [i for i, _ in curve.point_errors] == [0, 0]
+
+    @pytest.mark.parametrize("mid", ["gini", "theil"])
+    def test_step_of_zero_is_an_oracle_domain_error(self, mid):
+        # |z - mu|/mu overflows, and so does the closed form
+        F = make_distribution("uniform", 1e-300, 2e-300)
+        with pytest.raises(DomainError, match="complex step underflows"):
+            gateaux_if(parse_measure_id(mid), F, 1e10)
+
+    def test_error_is_a_truncation_bound(self):
+        F = make_distribution("exp", 1.0)
+        est = gateaux_if(parse_measure_id("theil"), F, 2.0)
+        assert type(est.value) is float
+        assert 0.0 < est.error <= 1e-15 * abs(est.value)
+
+    @pytest.mark.parametrize("spec_name", ["lognormal:0.706274,0.925595",
+                                           "sm:2.47803,3.55809,3.4562",
+                                           "sm:2.46473,0.875107,3.01069"])
+    def test_qsr_retries_one_decade_down(self, spec_name):
+        # the first step of 1e-2 lies outside the asymptotic regime at the
+        # level-0.06 grid point; the quotients are smooth
+        F = parse_distribution(spec_name)
+        curve = if_curve("qsr", F, default_grid(F, "qsr"), with_oracle=True)
+        assert not curve.point_errors
+        scale = np.max(np.abs(curve.closed_form))
+        assert curve.max_abs_discrepancy <= 4e-10 * scale
+
+
 class TestAsymptoticVariance:
     def test_mean_functional_gives_population_variance(self):
         F = make_distribution("exp", 1.0)
@@ -310,12 +391,15 @@ class TestIFCurve:
 
 
     def test_non_finite_closed_value_is_a_point_error(self):
-        # z^-3 overflows at z = 1e-160; the oracle still reads a value there
+        # z^-3 overflows at z = 1e-160, and so does h(z) = z^-2 in the
+        # oracle's evaluation of T
         F = make_distribution("pareto", 3.0, 1.0)
         curve = if_curve("atkinson:-2", F, [1e-160, 1.0], with_oracle=True)
-        assert curve.point_errors == ((0, "closed: IF is inf at z=1e-160"),)
+        assert curve.point_errors == ((0, "closed: IF is inf at z=1e-160"),
+                                      (0, "oracle: IF is nan at z=1e-160"))
         assert np.isnan(curve.closed_form[0])
-        assert np.isfinite(curve.oracle[0])
+        assert np.isnan(curve.oracle[0])
+        assert np.isfinite(curve.oracle[1])
 
     def test_default_grid_on_a_point_mass_is_one_point(self):
         assert default_grid(Dirac(1.0), "theil").tolist() == [1.0]

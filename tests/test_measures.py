@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from ineqif import (
+    DEFAULT_MEASURE_IDS,
     Dirac,
     Empirical,
     atkinson_from_appendix_parameter,
@@ -20,6 +21,7 @@ from ineqif import (
     scaled,
     translated,
 )
+from ineqif.cli import parse_distribution
 from ineqif.errors import DegenerateDenominator, DomainError, InvalidParameter, MomentDiverges
 from ineqif.measures import _gini_first_moment
 
@@ -99,6 +101,20 @@ class TestFunctionalValue:
         F = make_distribution("pareto", 1.5, 1.0)
         with pytest.raises(MomentDiverges):
             functional_value(make_spec("ge", 2.0), F)
+
+    @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
+                                           "pareto:3,1", "lognormal:0,0.5",
+                                           "dirac:2"])
+    def test_real_models_give_python_floats(self, spec_name):
+        # the complex-step path keeps eps complex; a real model stays real
+        F = parse_distribution(spec_name)
+        for mid in DEFAULT_MEASURE_IDS:
+            T = parse_measure_id(mid)
+            assert type(T.evaluate(F)) is float, mid
+            if T.spec is not None:
+                fv = functional_value(T.spec, F)
+                assert all(type(v) is float for v in
+                           (fv.value, fv.index_arg, fv.mu, fv.eh)), mid
 
 
 class TestPluginEstimate:
