@@ -7,8 +7,8 @@ T along the contamination (1-eps)F + eps Dirac(z): a complex step in eps
 for the quadruple family and the Gini, and a difference quotient
 extrapolated to eps -> 0 for the QSR and custom functionals. The closed
 forms are adjudicated against the oracle; published displays are archived
-in a machine-readable variant table and evaluated as printed, so the ones
-that disagree are kept on record rather than silently dropped.
+in a variant table, each as the Python expression it is read as, so the
+ones that disagree are kept on record rather than silently dropped.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .measures import (
     MeasureFunctional,
     functional_value,
     lorenz_area,
-    make_spec,
     parse_measure_id,
     qsr_components,
 )
@@ -409,10 +408,48 @@ def default_grid(F: Distribution, measure_id, count: int = 20) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _xlogx(s: float) -> float:
+    # math.log, as every display's log: numpy's log may differ in the last bit
+    return s * math.log(s) if s > 0 else 0.0
+
+
+# What a display reads besides z: functions, and quantities of (F, z, spec)
+_FUNCTIONS = {"log": math.log, "exp": math.exp, "xlogx": _xlogx}
+_QUANTITIES = {
+    "mu": lambda F, z, spec: F.mean(),
+    "a": lambda F, z, spec: spec.param,
+    "m": lambda F, z, spec: F.expect(spec.h, key=spec.h_key),
+    "nu0": lambda F, z, spec: F.expect(np.log, key="log"),
+    "R": lambda F, z, spec: lorenz_area(F),
+    "C": lambda F, z, spec: F.partial_mean(z),
+    "Fz": lambda F, z, spec: float(F.cdf(z)),
+    "IF": lambda F, z, spec: if_special("qsr", F, z),
+}
+
+
+class _Names(dict):
+    """The namespace of one evaluation: each quantity is computed when the
+    expression first reads it, so a display computes only its own moments
+    (a GE display never asks for E log X)."""
+
+    def __init__(self, F: Distribution, z: float, spec):
+        super().__init__(_FUNCTIONS, z=z)
+        self._args = (F, z, spec)
+
+    def __missing__(self, name):
+        value = self[name] = _QUANTITIES[name](*self._args)
+        return value
+
+
 @dataclass(frozen=True)
 class PrintedVariant:
     """A published influence-function display, evaluated literally.
 
+    `printed_form` is the display as it is read, written as a Python
+    expression over z, mu, the member's parameter a, m = E h(X),
+    nu0 = E log X, the Gini's R = R(F), C = C(F, F(z)) = E[X 1{X <= z}] and
+    Fz = F(z), the QSR's normative IF, and the functions log, exp and
+    xlogx (0 at z = 0). Only the rows of the table below are evaluated.
     `matches_normative` states whether the printed algebra coincides with
     the normative (oracle-confirmed) form; evaluation verdicts against the
     oracle are produced per distribution by the verify driver.
@@ -424,216 +461,128 @@ class PrintedVariant:
     printed_form: str
     normative_form: str
     note: str
-    evaluate: Callable  # (F, z, spec) -> float
 
-
-def _v_mld_s2(F, z, spec):
-    mu = F.mean()
-    nu0 = -F.expect(spec.h, key=spec.h_key)
-    return (z - mu) / mu + (math.log(z) - nu0)
-
-
-def _v_theil_s2(F, z, spec):
-    mu = F.mean()
-    nu = F.expect(spec.h, key=spec.h_key)  # E X log X
-    log_spec = make_spec("champernowne")  # h = log
-    nu0 = F.expect(log_spec.h, key=log_spec.h_key)
-    zlogz = z * math.log(z) if z > 0 else 0.0
-    return (zlogz - nu) / mu - (mu + nu0) / (mu * mu)
-
-
-def _v_ge_s2(F, z, spec):
-    a = spec.param
-    mu = F.mean()
-    ma = F.expect(spec.h, key=spec.h_key)
-    # second term printed without a division bar: read as a product
-    return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
-            - ma * (a - 1.0) * mu ** (a + 1.0) * (z - mu))
-
-
-def _v_atkinson_s2(F, z, spec):
-    b = spec.param
-    mu = F.mean()
-    mb = F.expect(spec.h, key=spec.h_key)
-    norm = mb ** (1.0 / b)
-    return (norm / mu) * ((z - mu) / mu - (z ** b - mb) / (b * mu * mb))
-
-
-def _v_kolm_s2(F, z, spec):
-    a = spec.param
-    mu = F.mean()
-    k = F.expect(spec.h, key=spec.h_key)
-    return (1.0 / a) * ((z - mu) - (math.exp(-a * mu) / k - 1.0))
-
-
-def _v_gini_appendix(F, z, spec):
-    mu = F.mean()
-    r = lorenz_area(F)
-    partial = F.partial_mean(z)
-    fz = float(F.cdf(z))
-    # literal reading: cumulative functional not divided by the mean
-    return 2.0 * (r - partial + (z / mu) * (r - (1.0 - fz)))
-
-
-def _v_mld_appendix(F, z, spec):
-    mu = F.mean()
-    mld = make_spec("mld")  # h = -log, so E log X = -E h(X)
-    nu = -F.expect(mld.h, key=mld.h_key)
-    return -(math.log(z) - nu) + (z - mu) / mu
-
-
-def _v_theil_appendix(F, z, spec):
-    mu = F.mean()
-    nu = F.expect(spec.h, key=spec.h_key)  # E X log X
-    zlogz = z * math.log(z) if z > 0 else 0.0
-    return (zlogz - nu) / mu - (nu + mu) * (z - mu) / (mu * mu)
-
-
-def _v_ge_appendix(F, z, spec):
-    a = spec.param
-    mu = F.mean()
-    ma = F.expect(spec.h, key=spec.h_key)
-    return ((z ** a - ma) / (a * (a - 1.0) * mu ** a)
-            - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0)))
-
-
-def _v_ge_without_coefficient(F, z, spec):
-    a = spec.param
-    mu = F.mean()
-    ma = F.expect(spec.h, key=spec.h_key)
-    return (z ** a - ma) - ma * (z - mu) / ((a - 1.0) * mu ** (a + 1.0))
-
-
-def _v_atkinson_appendix(F, z, spec):
-    b = spec.param  # the display's 1 - e
-    mu = F.mean()
-    mb = F.expect(spec.h, key=spec.h_key)  # the display's nu = E X^b
-    return (-mb ** (1.0 / b - 1.0) * (z ** b - mb) / (b * mu)
-            + mb ** (1.0 / b) * (z - mu) / (mu * mu))
-
-
-def _v_champernowne_s2(F, z, spec):
-    mu = F.mean()
-    nu0 = F.expect(spec.h, key=spec.h_key)  # E log X
-    return (math.exp(nu0) / mu) * ((z - mu) / mu - (math.log(z) - nu0))
+    def evaluate(self, F: Distribution, z: float, spec) -> float:
+        """The display at z on F, for the member `spec` (None for the
+        parameter-free rows that read no E h(X))."""
+        return eval(_COMPILED[self.printed_form], {"__builtins__": {}},
+                    _Names(F, z, spec))
 
 
 _VARIANTS = {
     "mld": (
         PrintedVariant(
             "mld", "section2_printed", False,
-            "mu^-1 (z - mu) + (log z - E log X)",
+            "(z - mu)/mu + (log(z) - nu0)",
             "mu^-1 (z - mu) - (log z - E log X)",
             "sign of the log-deviation term flipped relative to the unified "
             "formula and to the appendix display",
-            _v_mld_s2,
         ),
         PrintedVariant(
             "mld", "appendix_printed", True,
-            "-[log z - nu] + mu^-1 [z - mu]",
+            "-(log(z) - nu0) + (z - mu)/mu",
             "same",
             "matches the unified formula",
-            _v_mld_appendix,
         ),
     ),
     "theil": (
         PrintedVariant(
             "theil", "section2_printed", False,
-            "mu^-1 (z log z - E X log X) - mu^-2 (mu + E log X)",
+            "(xlogx(z) - m)/mu - (mu + nu0)/(mu*mu)",
             "mu^-1 (z log z - nu) - (nu + mu) mu^-2 (z - mu), nu = E X log X",
             "missing (z - mu) factor and E log X printed for E X log X",
-            _v_theil_s2,
         ),
         PrintedVariant(
             "theil", "appendix_printed", True,
-            "(1/mu)[z log z - nu] - (nu + mu)/mu^2 [z - mu]",
+            "(xlogx(z) - m)/mu - (m + mu)*(z - mu)/(mu*mu)",
             "same",
             "matches the unified formula",
-            _v_theil_appendix,
         ),
     ),
     "generalized_entropy": (
         PrintedVariant(
             "generalized_entropy", "section2_printed", False,
-            "(z^a - m_a)/(a(a-1)mu^a) - m_a (a-1) mu^(a+1) (z - mu)",
+            "(z**a - m)/(a*(a - 1)*mu**a) - m*(a - 1)*mu**(a + 1)*(z - mu)",
             "(z^a - m_a)/(a(a-1)mu^a) - m_a (z - mu)/((a-1) mu^(a+1))",
             "division bar missing in the second term (read literally as a "
-            "product); coincides with the normative form when mu = 1",
-            _v_ge_s2,
+            "product); coincides with the normative form only where "
+            "(a-1)^2 mu^(2a+2) = 1: at mu = 1 only when a = 2",
         ),
         PrintedVariant(
             "generalized_entropy", "appendix_printed", True,
-            "[1/(a(a-1)mu^a)](z^a - m_a) - [m_a/((a-1)mu^(a+1))](z - mu)",
+            "(z**a - m)/(a*(a - 1)*mu**a) - m*(z - mu)/((a - 1)*mu**(a + 1))",
             "same",
             "carries the leading 1/(a(a-1)mu^a) coefficient; adjudicated "
             "against the oracle (see the coefficient comparison driver)",
-            _v_ge_appendix,
         ),
         PrintedVariant(
             "generalized_entropy", "without_coefficient", False,
-            "(z^a - m_a) - m_a (z - mu)/((a-1) mu^(a+1))",
+            "(z**a - m) - m*(z - mu)/((a - 1)*mu**(a + 1))",
             "(z^a - m_a)/(a(a-1)mu^a) - m_a (z - mu)/((a-1) mu^(a+1))",
             "leading 1/(a(a-1)mu^a) coefficient deleted, the variant "
             "attributed to earlier literature",
-            _v_ge_without_coefficient,
         ),
     ),
     "atkinson": (
+        # the display's z^a read as z^b, with b the member's parameter a
         PrintedVariant(
             "atkinson", "section2_printed", False,
-            "(|X|_b/mu)((z - mu)/mu - (z^a - m_b)/(b mu m_b))",
+            "(m**(1/a)/mu)*((z - mu)/mu - (z**a - m)/(a*mu*m))",
             "m_b^(1/b) (z - mu)/mu^2 - m_b^(1/b - 1) (z^b - m_b)/(b mu)",
             "z^a read as z^b (exponent typo); an extra 1/mu remains on the "
             "second term, so the forms coincide only when mu = 1",
-            _v_atkinson_s2,
         ),
+        # the display's 1 - e is the member's parameter a, its nu = E X^a
         PrintedVariant(
             "atkinson", "appendix_printed", True,
-            "-nu^(1/(1-e)-1)/((1-e)mu) (z^(1-e) - nu) + nu^(1/(1-e))/mu^2 (z - mu)",
+            "-m**(1/a - 1)*(z**a - m)/(a*mu) + m**(1/a)*(z - mu)/(mu*mu)",
             "same under b = 1 - e",
             "matches the unified formula under the exponent reparameterization",
-            _v_atkinson_appendix,
         ),
     ),
     "champernowne": (
         PrintedVariant(
             "champernowne", "section2_printed", True,
-            "(exp(E log X)/mu)((z - mu)/mu - (log z - E log X))",
+            "(exp(nu0)/mu)*((z - mu)/mu - (log(z) - nu0))",
             "same",
             "matches the unified formula",
-            _v_champernowne_s2,
         ),
     ),
     "kolm": (
         PrintedVariant(
             "kolm", "section2_printed", False,
-            "(1/a)((z - mu) - (exp(-a mu)/E exp(-a X) - 1))",
+            "(1/a)*((z - mu) - (exp(-a*mu)/m - 1))",
             "(z - mu) + (exp(-a z) - E exp(-a X))/(a E exp(-a X))",
             "undefined symbol read as the family parameter; the printed "
             "second term has no z dependence",
-            _v_kolm_s2,
         ),
     ),
     "gini": (
         PrintedVariant(
             "gini", "appendix_printed", False,
-            "2[R - C(F, F(z)) + (z/mu)(R - (1 - F(z)))]",
+            "2*(R - C + (z/mu)*(R - (1 - Fz)))",
             "2[R - C(F, F(z))/mu + (z/mu)(R - (1 - F(z)))]",
             "cumulative functional not normalized by the mean; breaks scale "
             "invariance and coincides with the normative form only at mu = 1",
-            _v_gini_appendix,
         ),
     ),
     "qsr": (
+        # printed I1 1_A1 + I2 1_A2 + I3 1_A3, with unbalanced brackets in
+        # the pieces: read bracket-normalized, it is the normative IF
         PrintedVariant(
             "qsr", "appendix_printed", True,
-            "I1 1_A1 + I2 1_A2 + I3 1_A3 (unbalanced brackets in the pieces)",
+            "IF",
             "each piece a single fraction over D^2; A3 upper endpoint read "
             "as uep(F)",
             "bracket-normalized reading matches the oracle",
-            lambda F, z, spec: if_special("qsr", F, z),
         ),
     ),
+}
+
+# compiled once, from the literals above: a display is never read from input
+_COMPILED = {
+    v.printed_form: compile(v.printed_form, f"<{v.family} {v.source}>", "eval")
+    for rows in _VARIANTS.values() for v in rows
 }
 
 

@@ -67,13 +67,13 @@ def _log(s):
 
 
 # (function, derivative) pairs the quadruples are built from; each function
-# keeps a complex argument complex, for the complex-step oracle
+# keeps a complex argument complex, for the complex-step oracle. h needs no
+# derivative: Theorem 1 reads only tau', h1' and h2'.
 _ZERO = (lambda s: 0.0, lambda s: 0.0)
 _ONE = (lambda s: 1.0, lambda s: 0.0)
 _IDENTITY = (lambda s: s, lambda s: 1.0)
 _LOG = (np.log, lambda s: 1.0 / s)
 _NEG_LOG = (lambda s: -np.log(s), lambda s: -1.0 / s)
-_XLOGX = (_xlogx, lambda s: 1.0 + np.log(s))
 
 
 def _power(a: float):
@@ -99,7 +99,6 @@ class TheilLikeSpec:
     tau: Callable
     tau_prime: Callable
     h: Callable
-    h_prime: Callable
     h1: Callable
     h1_prime: Callable
     h2: Callable
@@ -114,10 +113,10 @@ _PARAM_FREE = {"theil", "mld", "champernowne"}
 
 def _member(family: str, prefix: str, param: Optional[float], tau, h, h1, h2,
             requires_positive: bool, h_key: str) -> TheilLikeSpec:
-    """A spec from the (function, derivative) pairs of its quadruple."""
+    """A spec from h and the (function, derivative) pairs of tau, h1, h2."""
     return TheilLikeSpec(
         family=family, param=param,
-        tau=tau[0], tau_prime=tau[1], h=h[0], h_prime=h[1],
+        tau=tau[0], tau_prime=tau[1], h=h,
         h1=h1[0], h1_prime=h1[1], h2=h2[0], h2_prime=h2[1],
         requires_positive=requires_positive, h_key=h_key,
         measure_id=prefix if param is None else f"{prefix}:{_fmt(param)}",
@@ -151,14 +150,14 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         c = a * (a - 1.0)
         return _member("generalized_entropy", "ge", a,
                        (lambda s: (s - 1.0) / c, lambda s: 1.0 / c),
-                       _power(a), _power(a), _ZERO, a < 0, f"pow:{a!r}")
+                       _power(a)[0], _power(a), _ZERO, a < 0, f"pow:{a!r}")
 
     if family == "theil":
-        return _member("theil", "theil", None, _IDENTITY, _XLOGX, _IDENTITY,
+        return _member("theil", "theil", None, _IDENTITY, _xlogx, _IDENTITY,
                        _LOG, False, "xlogx")
 
     if family == "mld":
-        return _member("mld", "mld", None, _IDENTITY, _NEG_LOG, _ONE,
+        return _member("mld", "mld", None, _IDENTITY, _NEG_LOG[0], _ONE,
                        _NEG_LOG, True, "neglog")
 
     if family == "atkinson":
@@ -169,19 +168,19 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         return _member("atkinson", "atkinson", a,
                        (lambda s: 1.0 - s ** (1.0 / a),
                         lambda s: -(1.0 / a) * s ** (1.0 / a - 1.0)),
-                       _power(a), _power(a), _ZERO, a < 0, f"pow:{a!r}")
+                       _power(a)[0], _power(a), _ZERO, a < 0, f"pow:{a!r}")
 
     if family == "champernowne":
         return _member("champernowne", "champernowne", None,
                        (lambda s: 1.0 - _exp(s), lambda s: -_exp(s)),
-                       _LOG, _ONE, _LOG, True, "log")
+                       _LOG[0], _ONE, _LOG, True, "log")
 
     if family == "kolm":
         if not a > 0:
             raise InvalidParameter(f"kolm requires alpha > 0, got {a}")
         return _member("kolm", "kolm", a,
                        (lambda s: _log(s) / a, lambda s: 1.0 / (a * s)),
-                       _exp_neg(a), _exp_neg(a), _ZERO, False, f"expneg:{a!r}")
+                       _exp_neg(a)[0], _exp_neg(a), _ZERO, False, f"expneg:{a!r}")
 
     raise InvalidParameter(f"unknown family {family!r}")
 

@@ -1,8 +1,9 @@
 """Deterministic numerical primitives.
 
-Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
-one-sided derivative-at-zero extrapolation, and monotone root bracketing.
-Everything here is a pure function of its inputs.
+Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals
+and one-sided derivative-at-zero extrapolation. Everything here is a pure
+function of its inputs. `bisect_nondecreasing` is kept only as a name the
+benchmark's tracer patches; no library code calls it.
 
 `Tolerance` is `integrate`'s argument alone: every layer above it
 integrates at `DEFAULT_TOL`, so a moment is one number per integrand.

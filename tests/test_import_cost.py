@@ -16,19 +16,19 @@ import ineqif
 SRC = Path(ineqif.__file__).resolve().parent.parent
 
 
-def _scipy_loaded_after(code: str) -> bool:
+def _loaded_after(code: str, module: str = "scipy") -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nprint('scipy' in sys.modules)"],
+        [sys.executable, "-c", code + f"\nprint({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    assert not _scipy_loaded_after("import sys, ineqif.cli")
+    assert not _loaded_after("import sys, ineqif.cli")
 
 
 # ge:2's variance needs E X^4, which diverges on pareto:3,1: exit code 2
@@ -52,7 +52,7 @@ def test_measure_and_variance_load_scipy_only_for_special_functions(
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        rc = main([command, '--ids', 'all', '--dist', {spec!r}])\n"
             "    assert rc == want, (command, rc)")
-    assert _scipy_loaded_after(code) is loads_scipy
+    assert _loaded_after(code) is loads_scipy
 
 
 @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "pareto:3,1"])
@@ -64,7 +64,19 @@ def test_verify_leaves_scipy_unloaded(spec):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = main(['verify', '--ids', 'all', '--dist', {spec!r}])\n"
             "assert rc == 0, rc")
-    assert not _scipy_loaded_after(code)
+    assert not _loaded_after(code)
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "sm:2,1,3"])
+def test_verify_never_loads_sympy(spec):
+    # the printed displays are compiled Python; sympy reads them only in the
+    # ledger test. sm:2,1,3 loads scipy, which must not bring sympy with it.
+    code = ("import contextlib, io, sys\n"
+            "from ineqif.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main(['verify', '--ids', 'all', '--dist', {spec!r}])\n"
+            "assert rc == 0, rc")
+    assert not _loaded_after(code, "sympy")
 
 
 def test_lorenz_on_a_lognormal_leaves_scipy_unloaded():
@@ -73,4 +85,4 @@ def test_lorenz_on_a_lognormal_leaves_scipy_unloaded():
             "from ineqif import make_distribution\n"
             "F = make_distribution('lognormal', 0.0, 0.5)\n"
             "assert 0.0 < F.lorenz(0.3) < 0.3")
-    assert not _scipy_loaded_after(code)
+    assert not _loaded_after(code)

@@ -22,6 +22,7 @@ from ineqif import (
     qsr_components,
     scaled,
 )
+from ineqif import influence
 from ineqif.cli import parse_distribution
 from ineqif.errors import DomainError, InvalidParameter, KinkPoint, MomentDiverges
 
@@ -473,6 +474,27 @@ class TestPrintedVariants:
         literal = v.evaluate(F, 0.5, None)
         oracle = gateaux_if(parse_measure_id("gini"), F, 0.5).value
         assert abs(literal - oracle) > 0.1
+
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    def test_every_display_reads_only_names_the_namespace_supplies(self, mid):
+        # an unknown name raises NameError, which verify's per-point handler
+        # does not catch: the CLI would end in a traceback
+        supplied = {"z"} | set(influence._FUNCTIONS) | set(influence._QUANTITIES)
+        for v in printed_variants(mid):
+            names = set(influence._COMPILED[v.printed_form].co_names)
+            assert names <= supplied, (v.source, names - supplied)
+
+    def test_a_display_computes_only_the_moments_it_reads(self):
+        F = make_distribution("exp", 1.0)
+        ge = parse_measure_id("ge:2")
+        for v in printed_variants(ge):
+            v.evaluate(F, 2.0, ge.spec)
+        assert ("expect", "log") not in F._cache
+        theil = parse_measure_id("theil")
+        section2 = {v.source: v for v in printed_variants(theil)}[
+            "section2_printed"]
+        section2.evaluate(F, 2.0, theil.spec)  # reads E log X
+        assert ("expect", "log") in F._cache
 
     def test_every_registered_measure_has_variant_metadata(self):
         for mid in ("ge:2", "theil", "mld", "atkinson:0.5", "champernowne",
