@@ -27,7 +27,10 @@ Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
 quadrature across the atom. The numerical Gateaux oracle depends on that
 exact linearity in eps, and its complex step takes a purely imaginary eps
-through the mean, the atom masses and the moments unchanged.
+through the mean, the atom masses and the moments unchanged. A mixture may
+also hold a whole grid of points z, each with its own imaginary step: its
+mean, moments, cdf, atom masses and partial means are then arrays over the
+grid, and the oracle reads every point from one evaluation of the measure.
 """
 from __future__ import annotations
 
@@ -88,6 +91,13 @@ def _ncdf(u: float) -> float:
     return 0.5 * math.erfc(-u * _SQRT_HALF)
 
 
+def _ncdf_array(u: np.ndarray) -> np.ndarray:
+    """`_ncdf` per element, through the stdlib's erfc: no scipy."""
+    w = -u * _SQRT_HALF
+    return 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float,
+                             count=w.size).reshape(w.shape)
+
+
 def _probit(ps: np.ndarray) -> np.ndarray:
     """Standard normal quantile per element, through the stdlib: quadrature
     over a lognormal then loads no scipy."""
@@ -95,10 +105,24 @@ def _probit(ps: np.ndarray) -> np.ndarray:
                        count=ps.size).reshape(ps.shape)
 
 
+def _is_array(x) -> bool:
+    """Whether x is an array with dimensions (per point of the oracle's
+    grid), not a scalar."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 def _scalar(x):
     """x as a Python float, or as a Python complex where it is complex (on
-    the complex-step oracle's path, whose eps is imaginary)."""
+    the complex-step oracle's path, whose eps is imaginary); an array with
+    dimensions is returned as it is."""
+    if _is_array(x):
+        return x
     return complex(x) if isinstance(x, complex) else float(x)
+
+
+def _real(x):
+    """x as a Python float, or as a float array where it has dimensions."""
+    return np.asarray(x, dtype=float) if _is_array(x) else float(x)
 
 
 def _fmt(v: float) -> str:
@@ -136,8 +160,9 @@ class Distribution:
     def _mean(self) -> float:
         raise NotImplementedError
 
-    def partial_mean(self, t: float) -> float:
-        """E[X 1{X <= t}], with atoms at t counted in full."""
+    def partial_mean(self, t):
+        """E[X 1{X <= t}], with atoms at t counted in full; per element on
+        an array of t."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -173,6 +198,9 @@ class Distribution:
         atoms exactly."""
         if key is None:
             return self._expect_impl(g)
+        if key == "neglog":
+            # minus E log X: one cached moment serves both keys
+            return -self.expect(lambda x: -g(x), key="log")
         ck = ("expect", key)
         value = self._cache.get(ck)
         if value is None:
@@ -314,6 +342,12 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
     def partial_mean(self, t):
+        if _is_array(t):
+            t = np.maximum(np.asarray(t, dtype=float), 0.0)
+            lt = self.rate * t
+            with np.errstate(invalid="ignore"):  # 0 * inf at t = inf
+                pm = (1.0 - np.exp(-lt) * (1.0 + lt)) / self.rate
+            return np.where(np.isinf(t), self.mean(), pm)
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -382,6 +416,10 @@ class Pareto(Distribution):
         return self.shape * self.scale / (self.shape - 1.0)
 
     def partial_mean(self, t):
+        if _is_array(t):
+            # below the scale the ratio is 1 and the mass 0; at inf it is 0
+            ratio = np.maximum(np.asarray(t, dtype=float), self.scale) / self.scale
+            return self.mean() * (1.0 - ratio ** (1.0 - self.shape))
         if t <= self.scale:
             return 0.0
         if math.isinf(t):
@@ -420,10 +458,7 @@ class LogNormal(Distribution):
         x = np.asarray(x, dtype=float)
         safe = np.where(x > 0, x, 1.0)
         u = (np.log(safe) - self.log_mean) / self.sigma
-        w = -u * _SQRT_HALF
-        val = 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float,
-                                count=w.size).reshape(w.shape)
-        return np.where(x > 0, val, 0.0)
+        return np.where(x > 0, _ncdf_array(u), 0.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -457,6 +492,11 @@ class LogNormal(Distribution):
         return math.exp(self.log_mean + 0.5 * self.sigma ** 2)
 
     def partial_mean(self, t):
+        if _is_array(t):
+            t = np.asarray(t, dtype=float)
+            safe = np.where(t > 0, t, 1.0)
+            u = (np.log(safe) - self.log_mean - self.sigma ** 2) / self.sigma
+            return np.where(t > 0, self.mean() * _ncdf_array(u), 0.0)
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -537,6 +577,12 @@ class SinghMaddala(Distribution):
         )
 
     def partial_mean(self, t):
+        if _is_array(t):
+            w = (np.maximum(np.asarray(t, dtype=float), 0.0) / self.b) ** self.a
+            with np.errstate(invalid="ignore"):  # inf/inf at t = inf
+                u = np.where(np.isinf(w), 1.0, w / (1.0 + w))
+            return self.mean() * _special().betainc(
+                1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u)
         if t <= 0:
             return 0.0
         if math.isinf(t):
@@ -610,9 +656,12 @@ class Uniform(Distribution):
         return 0.5 * (self.lo + self.hi)
 
     def partial_mean(self, t):
-        if t <= self.lo:
+        if _is_array(t):
+            t = np.clip(np.asarray(t, dtype=float), self.lo, self.hi)
+        elif t <= self.lo:
             return 0.0
-        t = min(t, self.hi)
+        else:
+            t = min(t, self.hi)
         return (t * t - self.lo * self.lo) / (2.0 * (self.hi - self.lo))
 
     def _closed_form(self, name, c):
@@ -734,8 +783,7 @@ class Empirical(Distribution):
         if prefix is None:
             prefix = np.concatenate([[0.0], np.cumsum(self.values)]) / self.n
             self._cache["prefix"] = prefix
-        idx = int(np.searchsorted(self.values, t, side="right"))
-        return float(prefix[idx])
+        return _real(prefix[np.searchsorted(self.values, t, side="right")])
 
     def descriptor(self):
         if self.n == 1:
@@ -758,7 +806,11 @@ class Contaminated(Distribution):
 
     A purely imaginary eps is the complex-step oracle's path: the mean, the
     atom masses, partial means and moments are then complex, and linear in
-    eps as for a real weight. The quantile needs a real eps in [0, 1].
+    eps as for a real weight. On that path z may be a 1-D array of points
+    with an array of imaginary steps of the same shape: one mixture per
+    point, and the mean, moments, cdf, masses and partial means (at a
+    scalar t) are arrays over the points. The quantile and the support ends
+    need a real eps in [0, 1] and one point.
     """
 
     base: Distribution
@@ -768,19 +820,34 @@ class Contaminated(Distribution):
     kind = "contaminated"
 
     def __post_init__(self):
-        eps = self.epsilon
+        eps, z = self.epsilon, self.z
+        if isinstance(z, np.ndarray):
+            if not (z.ndim == 1 and isinstance(eps, np.ndarray)
+                    and eps.shape == z.shape and eps.dtype.kind == "c"
+                    and not eps.real.any() and np.isfinite(eps.imag).all()
+                    and (z >= 0.0).all()):
+                raise InvalidParameter(
+                    "a grid of points z >= 0 needs a 1-D array of finite "
+                    "imaginary steps of its shape")
+            return
         if isinstance(eps, complex):
             if not (eps.real == 0.0 and math.isfinite(eps.imag)):
                 raise InvalidParameter(
                     f"complex epsilon must be finite and imaginary, got {eps}")
         elif not 0.0 <= eps <= 1.0:
             raise InvalidParameter(f"epsilon must be in [0, 1], got {eps}")
-        if not self.z >= 0.0:
-            raise InvalidParameter(f"contamination point must be >= 0, got {self.z}")
+        if not z >= 0.0:
+            raise InvalidParameter(f"contamination point must be >= 0, got {z}")
+
+    def _one_point(self):
+        if _is_array(self.z):
+            raise InvalidParameter(
+                "a grid of contaminations has no quantile or support ends")
 
     # the support ends come from the parts: the quantile reads them at 0 and 1
     @property
     def lep(self):
+        self._one_point()
         if self.epsilon == 0.0:
             return self.base.lep
         if self.epsilon == 1.0:
@@ -789,6 +856,7 @@ class Contaminated(Distribution):
 
     @property
     def uep(self):
+        self._one_point()
         if self.epsilon == 0.0:
             return self.base.uep
         if self.epsilon == 1.0:
@@ -805,6 +873,7 @@ class Contaminated(Distribution):
         # base quantile below the atom's jump, z on it, the shifted base
         # quantile above it. At eps = 1 every p lies on the jump. The clamps
         # absorb rounding in p/w.
+        self._one_point()
         p = _check_prob(p)
         if p == 0.0:
             return self.lep
@@ -827,30 +896,37 @@ class Contaminated(Distribution):
 
     def _expect_impl(self, g):
         return (1.0 - self.epsilon) * self.base.expect(g) \
-            + self.epsilon * float(g(self.z))
+            + self.epsilon * _real(g(self.z))
 
     def expect(self, g, key=None):
         # Delegate caching of the base integral to the base distribution so
         # every eps-view of the same base reuses one quadrature result.
         return (1.0 - self.epsilon) * self.base.expect(g, key=key) \
-            + self.epsilon * float(g(self.z))
+            + self.epsilon * _real(g(self.z))
 
     def mass(self, x):
         m = (1.0 - self.epsilon) * self.base.mass(x)
+        if _is_array(self.z):
+            return m + self.epsilon * (self.z == x)
         if x == self.z:
             m += self.epsilon
         return m
 
     def partial_mean(self, t):
         pm = (1.0 - self.epsilon) * self.base.partial_mean(t)
+        if _is_array(self.z) or _is_array(t):
+            return pm + self.epsilon * self.z * (self.z <= t)
         if self.z <= t:
             pm += self.epsilon * self.z
         return pm
 
     def descriptor(self):
-        eps = self.epsilon
+        eps, z = self.epsilon, self.z
+        if _is_array(z):
+            return (f"contaminated({self.base.descriptor()},"
+                    f"eps=<{z.size} imaginary steps>,z=<{z.size} points>)")
         eps = str(eps) if isinstance(eps, complex) else _fmt(eps)
-        return f"contaminated({self.base.descriptor()},eps={eps},z={_fmt(self.z)})"
+        return f"contaminated({self.base.descriptor()},eps={eps},z={_fmt(z)})"
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 Two independent routes exist for every measure: one closed-form influence
 function per measure kind (the unified quadruple formula of Theorem 1, the
 Gini and QSR forms, and the mean), and a numerical Gateaux derivative of
-T along the contamination (1-eps)F + eps Dirac(z): a complex step in eps
-for the quadruple family and the Gini, and a difference quotient
-extrapolated to eps -> 0 for the QSR and custom functionals. The closed
-forms are adjudicated against the oracle; published displays are archived
-in a variant table, each as the Python expression it is read as, so the
-ones that disagree are kept on record rather than silently dropped.
+T along the contamination (1-eps)F + eps Dirac(z): a complex step in eps,
+taken at every point of a grid from one evaluation of T, for the quadruple
+family, the Gini and the QSR on a model with no atom at its quintiles, and
+a difference quotient extrapolated to eps -> 0 for the QSR at such an atom
+and for custom functionals. The closed forms are adjudicated against the
+oracle; published displays are archived in a variant table, each as the
+Python expression it is read as, so the ones that disagree are kept on
+record rather than silently dropped.
 """
 from __future__ import annotations
 
@@ -103,8 +105,7 @@ def _closed_if_vectorized(T: MeasureFunctional,
 
         def gini_if(xs):
             xs = np.asarray(xs, dtype=float)
-            partial = np.array([F.partial_mean(x) for x in xs.ravel()])
-            partial = partial.reshape(xs.shape)
+            partial = F.partial_mean(xs)
             fz = np.asarray(F.cdf(xs), dtype=float)
             return 2.0 * (r - partial / mu + (xs / mu) * (r - (1.0 - fz)))
 
@@ -197,13 +198,17 @@ def gateaux_if(T: MeasureFunctional, F: Distribution,
                z: float) -> DerivativeEstimate:
     """lim_{eps->0+} [T((1-eps)F + eps Dirac(z)) - T(F)] / eps.
 
-    This is the independent oracle for every closed form in this module.
-    Expectations over the contaminated mixture are exact in eps. For the
-    quadruple family and the Gini, T along the path is analytic in eps
+    This is the independent oracle for every closed form in this module,
+    at one point: the one-point case of the grid oracle that `if_curve`
+    runs. Expectations over the contaminated mixture are exact in eps. For
+    the quadruple family and the Gini, T along the path is analytic in eps
     (mixture moments are linear in it, the Gini's first moment quadratic),
     so the derivative is the complex step Im T(F_{ih})/h: one evaluation,
-    no subtraction, exact to rounding (Squire & Trapp 1998). The QSR (its
-    mixture quantile is not analytic in a complex eps) and custom
+    no subtraction, exact to rounding (Squire & Trapp 1998). The QSR's
+    mixture quantile is not analytic in a complex eps, but where F has no
+    atom at Q(0.2) or Q(0.8) the envelope theorem gives its derivative with
+    the quintiles frozen at F's (see `qsr`), and that path is linear in eps
+    and takes the complex step too. The QSR at such an atom and custom
     functionals take Richardson extrapolation of the difference quotients
     instead, retried once one decade down when the extrapolants diverge.
 
@@ -214,30 +219,73 @@ def gateaux_if(T: MeasureFunctional, F: Distribution,
     with the closed form.
     """
     z = _check_point(z)
-    if T.kind in ("theil_like", "gini"):
-        return _complex_step(T, F, z)
-    base_value = T.evaluate(F)
+    values, errors, failures = _gateaux_grid(T, F, np.array([z]))
+    if failures:
+        raise failures[0]
+    return DerivativeEstimate(value=float(values[0]), error=float(errors[0]))
 
-    def phi(eps: float) -> float:
-        return T.evaluate(contaminate(F, eps, z)) - base_value
 
+def _gateaux_grid(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
+    """The oracle at every point of zs (checked points): its values and
+    error estimates, NaN where a point fails, and {index: exception} for
+    the points that fail. A failure of T(F) itself fails every point."""
+    if T.kind in ("theil_like", "gini") or (
+            T.kind == "qsr" and F.mass(F.quantile(0.2)) == 0.0
+            and F.mass(F.quantile(0.8)) == 0.0):
+        return _complex_step(T, F, zs)
+    return _richardson(T, F, zs)
+
+
+def _richardson(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
+    """Richardson extrapolation of [T(F_eps) - T(F)]/eps, point by point."""
+    values, errors = np.full(zs.shape, np.nan), np.full(zs.shape, np.nan)
     try:
-        return derivative_at_zero_plus(phi)
-    except NoisyLimit:
-        return derivative_at_zero_plus(phi, _RETRY_STEPS)
+        base_value = T.evaluate(F)
+    except Exception as exc:  # recorded at every point
+        return values, errors, dict.fromkeys(range(zs.size), exc)
+    failures = {}
+    for i, z in enumerate(zs.tolist()):
+        def phi(eps: float) -> float:
+            return T.evaluate(contaminate(F, eps, z)) - base_value
+
+        try:
+            try:
+                est = derivative_at_zero_plus(phi)
+            except NoisyLimit:
+                est = derivative_at_zero_plus(phi, _RETRY_STEPS)
+            values[i], errors[i] = est.value, est.error
+        except Exception as exc:  # recorded, not fatal
+            failures[i] = exc
+    return values, errors, failures
 
 
 # DEFAULT_DERIVATIVE_STEPS one decade down: a first step of 1e-2 can lie
-# outside the asymptotic regime at a smooth QSR point.
+# outside the asymptotic regime at a smooth point.
 _RETRY_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
 
 # The complex step where no term of the step rule exceeds 1.
 _COMPLEX_STEP = 1e-10
 
 
-def _complex_step(T: MeasureFunctional, F: Distribution,
-                  z: float) -> DerivativeEstimate:
-    """Im T((1-ih)F + ih Dirac(z))/h, with the step scaled to the point:
+def _step_terms(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
+    """mu and the step rule's last term at each point. T(F) is evaluated
+    first for the quadruple family, which reads mu and E h from it, and
+    for the QSR, whose base shares fail before any step."""
+    if T.kind != "theil_like":
+        if T.kind == "qsr":
+            T.evaluate(F)
+        return F.mean(), 0.0
+    spec = T.spec
+    fv = functional_value(spec, F)
+    spread = np.abs(spec.h(zs) - fv.eh) / max(
+        abs(fv.eh), abs(float(spec.h1(fv.mu))))
+    return fv.mu, np.where(np.isfinite(spread), spread, 0.0)
+
+
+def _complex_step(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
+    """Im T((1-ih)F + ih Dirac(z))/h at every point z of zs, from one
+    evaluation of T on the grid of mixtures, with the step scaled to the
+    point:
 
       h = 1e-10 / max(1, |z - mu|/mu, |h(z) - E h|/max(|E h|, |h1(mu)|))
 
@@ -245,27 +293,42 @@ def _complex_step(T: MeasureFunctional, F: Distribution,
     is not finite; the evaluation then reports that point. A fixed step
     fails both ways: its imaginary parts underflow at mu ~ 1e-150, and it
     leaves the linear regime where h(z) is huge. mu and E h come from T(F)
-    itself, so a divergent moment raises as it does there. A step of 0 or
-    a non-finite value raises DomainError.
+    itself, so a divergent moment fails every point. A step of 0 or a
+    non-finite value is a DomainError at its point. Where the grid's
+    evaluation raises, each point is evaluated alone, as one mixture with
+    a scalar eps, and records its own error.
     """
-    with np.errstate(all="ignore"):  # a non-finite value raises below
-        if T.kind == "gini":
-            mu, spread = F.mean(), 0.0
-        else:
-            spec = T.spec
-            fv = functional_value(spec, F)
-            mu = fv.mu
-            spread = abs(float(spec.h(z)) - fv.eh) / max(
-                abs(fv.eh), abs(float(spec.h1(mu))))
-            if not math.isfinite(spread):
-                spread = 0.0
-        step = _COMPLEX_STEP / max(1.0, abs(z - mu) / mu, spread)
-        if step == 0.0:
-            raise DomainError(f"complex step underflows at z={z} (mu={mu!r})")
-        value = T.evaluate(contaminate(F, 1j * step, z)).imag / step
-    if not math.isfinite(value):
-        raise DomainError(f"IF is {value} at z={z}")
-    return DerivativeEstimate(value=value, error=_COMPLEX_STEP ** 2 * abs(value))
+    values = np.full(zs.shape, np.nan)
+    failures = {}
+    with np.errstate(all="ignore"):  # a non-finite value is recorded below
+        try:
+            mu, spread = _step_terms(T, F, zs)
+        except Exception as exc:  # recorded at every point
+            return values, values.copy(), dict.fromkeys(range(zs.size), exc)
+        steps = _COMPLEX_STEP / np.maximum(
+            np.maximum(1.0, np.abs(zs - mu) / mu), spread)
+        live = steps > 0.0
+        for i in np.flatnonzero(~live).tolist():
+            failures[i] = DomainError(
+                f"complex step underflows at z={float(zs[i])} (mu={mu!r})")
+        pending = [np.flatnonzero(live)] if live.any() else []
+        while pending:
+            idx = pending.pop()
+            if idx.size == 1:  # one mixture, with a Python complex eps
+                G = contaminate(F, 1j * float(steps[idx[0]]), zs[idx[0]])
+            else:
+                G = Contaminated(F, 1j * steps[idx], zs[idx])
+            try:
+                values[idx] = np.imag(T.evaluate(G)) / steps[idx]
+            except Exception as exc:  # recorded, not fatal
+                if idx.size == 1:
+                    failures[int(idx[0])] = exc
+                else:  # each point alone records its own error
+                    pending.extend(idx[:, None])
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        failures.setdefault(i, DomainError(
+            f"IF is {values[i]} at z={float(zs[i])}"))
+    return values, _COMPLEX_STEP ** 2 * np.abs(values), failures
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +378,8 @@ class IFCurve:
 def if_curve(measure_id, F: Distribution, grid: Sequence[float],
              with_oracle: bool = False) -> IFCurve:
     """Evaluate the closed-form IF (and optionally the oracle) on a grid,
-    for a measure id or a MeasureFunctional.
+    for a measure id or a MeasureFunctional. The oracle takes its complex
+    step at every point from one evaluation of T (see `gateaux_if`).
 
     Per-point failures are recorded in the curve instead of aborting it.
     """
@@ -327,35 +391,29 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
 
     T = parse_measure_id(measure_id)
     closed = np.full(zs.shape, np.nan)
-    oracle = np.full(zs.shape, np.nan) if with_oracle else None
-    oracle_err = np.full(zs.shape, np.nan) if with_oracle else None
+    oracle = oracle_err = None
     point_errors = []
 
     kernel = _kernel_or_error(T, F)
     valid = []
-    # a non-finite closed value is recorded below, an oracle's as its error
+    # a non-finite closed value is recorded below
     with np.errstate(all="ignore"):
         for i, z in enumerate(zs):
             try:
-                z = _check_closed_point(T, z, kernel)
+                _check_closed_point(T, z, kernel)
                 valid.append(i)
             except Exception as exc:  # recorded, not fatal
                 point_errors.append((i, f"closed: {exc}"))
-            if with_oracle:
-                try:
-                    est = gateaux_if(T, F, float(z))
-                    oracle[i] = est.value
-                    oracle_err[i] = est.error
-                except Exception as exc:
-                    point_errors.append((i, f"oracle: {exc}"))
         if valid:
             closed[valid] = kernel(zs[valid])
-    if valid:
-        for i in (i for i in valid if not math.isfinite(closed[i])):
-            point_errors.append((i, f"closed: IF is {closed[i]} at z={zs[i]}"))
-            closed[i] = math.nan
-        # grid order; at one point the closed error before the oracle's
-        point_errors.sort(key=lambda e: (e[0], e[1].startswith("oracle")))
+    for i in (i for i in valid if not math.isfinite(closed[i])):
+        point_errors.append((i, f"closed: IF is {closed[i]} at z={zs[i]}"))
+        closed[i] = math.nan
+    if with_oracle:
+        oracle, oracle_err, failures = _gateaux_grid(T, F, zs)
+        point_errors += [(i, f"oracle: {exc}") for i, exc in failures.items()]
+    # grid order; at one point the closed error before the oracle's
+    point_errors.sort(key=lambda e: (e[0], e[1].startswith("oracle")))
 
     if with_oracle:
         both = np.isfinite(closed) & np.isfinite(oracle)

@@ -16,7 +16,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Contaminated, Distribution, Empirical, _fmt, _scalar
+from .distributions import (
+    Contaminated,
+    Distribution,
+    Empirical,
+    _fmt,
+    _is_array,
+    _real,
+    _scalar,
+)
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -59,16 +67,21 @@ def _xlogx(s):
 
 
 def _exp(s):
+    if isinstance(s, np.ndarray):
+        return np.exp(s)
     return cmath.exp(s) if isinstance(s, complex) else math.exp(s)
 
 
 def _log(s):
+    if isinstance(s, np.ndarray):
+        return np.log(s)
     return cmath.log(s) if isinstance(s, complex) else math.log(s)
 
 
 # (function, derivative) pairs the quadruples are built from; each function
-# keeps a complex argument complex, for the complex-step oracle. h needs no
-# derivative: Theorem 1 reads only tau', h1' and h2'.
+# keeps a complex argument complex, and an array an array, for the
+# complex-step oracle. h needs no derivative: Theorem 1 reads only tau', h1'
+# and h2'.
 _ZERO = (lambda s: 0.0, lambda s: 0.0)
 _ONE = (lambda s: 1.0, lambda s: 0.0)
 _IDENTITY = (lambda s: s, lambda s: 1.0)
@@ -199,11 +212,19 @@ def atkinson_from_appendix_parameter(alpha: float) -> TheilLikeSpec:
 # ---------------------------------------------------------------------------
 
 
+def _degenerate(v) -> bool:
+    """Whether v, or an element of an array v, is 0 or not finite."""
+    if _is_array(v):
+        return not (np.isfinite(v) & (v != 0.0)).all()
+    return v == 0.0 or not cmath.isfinite(v)
+
+
 @dataclass(frozen=True)
 class FunctionalValue:
     """T(F) together with the intermediates the influence formulas reuse:
     Python floats, or complex on a contaminated model with an imaginary
-    eps (the complex-step oracle's path)."""
+    eps (the complex-step oracle's path), and complex arrays over the
+    points of a contaminated grid."""
 
     value: float
     index_arg: float  # the inner argument I = E h(X)/h1(mu) - h2(mu)
@@ -215,8 +236,9 @@ def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
     """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu)).
 
     A complex eps in F stays in every intermediate, so T is evaluated along
-    the complex path as it is along the real one."""
-    if spec.requires_positive and F.mass(0.0) != 0:
+    the complex path as it is along the real one, and at every point of a
+    contaminated grid at once."""
+    if spec.requires_positive and np.count_nonzero(F.mass(0.0)):
         raise DomainError(
             f"{spec.measure_id} is undefined at income 0 (h uses log or a "
             "negative power)"
@@ -230,7 +252,7 @@ def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
             f"{F.descriptor()}: {exc}"
         ) from exc
     h1_mu = _scalar(spec.h1(mu))
-    if h1_mu == 0.0 or not cmath.isfinite(h1_mu):
+    if _degenerate(h1_mu):
         raise DegenerateDenominator(
             f"h1(mu)={h1_mu!r} for {spec.measure_id} at mu={mu!r}"
         )
@@ -251,12 +273,12 @@ def _gini_first_moment(F: Distribution) -> float:
     coefficient is 2*S/mu - 1. For contaminated mixtures S decomposes into
     eps-free base quantities, which keeps the Gateaux limit exact in eps:
     the cross term E_F[max(X, z)] = mu - E[X 1{X <= z}] + z F(z) holds
-    with or without an atom of F at z.
+    with or without an atom of F at z, and per point on a contaminated grid.
     """
     if isinstance(F, Contaminated):
         eps, z, base = F.epsilon, F.z, F.base
         s_base = _gini_first_moment(base)
-        cross = base.mean() - base.partial_mean(z) + z * float(base.cdf(z))
+        cross = base.mean() - base.partial_mean(z) + z * _real(base.cdf(z))
         return ((1.0 - eps) ** 2 * s_base + eps * (1.0 - eps) * cross
                 + 0.5 * eps * eps * z)
     if isinstance(F, Empirical):
@@ -298,7 +320,26 @@ def qsr_components(F: Distribution):
 
 
 def qsr(F: Distribution) -> float:
-    """Quintile share ratio N(F)/D(F)."""
+    """Quintile share ratio N(F)/D(F).
+
+    On a contaminated model with an imaginary eps (the complex-step
+    oracle's path) the shares are the Lorenz shares with the quintiles
+    frozen at the base's q1 = Q(0.2) and q4 = Q(0.8):
+      D = E[X 1{X <= q1}] + q1 (0.2 - G(q1))
+      N = mu - E[X 1{X <= q4}] - q4 (0.8 - G(q4))
+    The share below level p is the maximum over q of
+    E[X 1{X <= q}] + q (p - G(q)), attained at q = Q(p), and the bracket
+    is linear in eps; so by the envelope theorem this path has the
+    derivative of the Lorenz-share QSR in eps at 0. Where the base has no
+    atom at q1 or q4, that is the derivative of the ratio below, which
+    counts an atom at a quintile in full.
+    """
+    if isinstance(F, Contaminated) and isinstance(F.epsilon,
+                                                  (complex, np.ndarray)):
+        _, _, q1, q4 = qsr_components(F.base)
+        d = F.partial_mean(q1) + q1 * (0.2 - F.cdf(q1))
+        n = F.mean() - F.partial_mean(q4) - q4 * (0.8 - F.cdf(q4))
+        return n / d
     n, d, _, _ = qsr_components(F)
     return n / d
 

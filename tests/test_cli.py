@@ -688,6 +688,14 @@ class TestVerifyCommand:
                                        "1:2:2:lin", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-05
 
+    def test_qsr_just_above_the_bottom_quintile_passes(self, capsys):
+        # 1e-7 above Q(0.2) = log(1.25) on exp:1, outside the KinkPoint band:
+        # Richardson read -237 there, against the closed form's -35.474
+        assert main(["verify", "--ids", "qsr", "--dist", "exp:1", "--grid",
+                     "0.22314358:0.2231436:2:lin", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["verdict"] for r in rows] == ["PASS", "PASS"]
+
     def test_normative_failure_exits_three(self, monkeypatch, capsys):
         broken = lambda T, F, z: 1e6
         monkeypatch.setattr(cli, "if_special", broken)

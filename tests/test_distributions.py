@@ -13,8 +13,9 @@ from ineqif import (
     scaled,
     translated,
 )
+from ineqif import distributions, parse_measure_id, printed_variants
 from ineqif.cli import parse_distribution
-from ineqif.distributions import _ncdf
+from ineqif.distributions import Contaminated, _ncdf
 from ineqif.errors import InvalidParameter
 
 PARAMETRIC = [
@@ -134,6 +135,22 @@ class TestExpect:
         F = make_distribution("uniform", 0.0, 1.0)
         value = F.expect(lambda x: math.sqrt(x))  # rejects arrays
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    def test_log_and_neglog_share_one_integral(self, monkeypatch):
+        # the uniform has no closed E log X: MLD reads it as `neglog`, and
+        # its printed displays as `log`
+        calls = []
+        integrate = distributions.integrate
+        monkeypatch.setattr(distributions, "integrate",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        F = make_distribution("uniform", 0.0, 1.0)
+        T = parse_measure_id("mld")
+        T.evaluate(F)
+        for v in printed_variants(T):
+            v.evaluate(F, 2.0, T.spec)
+        assert len(calls) == 1
+        assert F.expect(lambda x: -np.log(x), key="neglog") == \
+            -F.expect(np.log, key="log")
 
 
 class TestQuantile:
@@ -372,6 +389,74 @@ _EVERY_KIND = {
     "contaminated(eps=0)": contaminate(make_distribution("exp", 1.0), 0.0, 2.0),
     "contaminated(eps=1)": contaminate(make_distribution("exp", 1.0), 1.0, 2.0),
 }
+
+
+class TestArrayPartialMean:
+    @pytest.mark.parametrize("name", list(_EVERY_KIND))
+    def test_is_the_scalar_partial_mean_per_element(self, name):
+        F = _EVERY_KIND[name]
+        levels = F.quantile_array(np.linspace(0.01, 0.99, 11))
+        ts = np.concatenate([[-1.0, 0.0, F.lep, F.uep, math.inf], levels])
+        want = np.array([F.partial_mean(float(t)) for t in ts])
+        np.testing.assert_allclose(F.partial_mean(ts), want, rtol=1e-13,
+                                   atol=0.0)
+
+    def test_lognormal_loads_no_scipy_function(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_special", None)  # not called
+        F = make_distribution("lognormal", 0.0, 0.5)
+        assert F.partial_mean(np.array([0.5, 1.0, 2.0])).shape == (3,)
+
+
+class TestContaminatedGrid:
+    """One mixture per point z, each with its own imaginary step: the
+    complex-step oracle's grid."""
+
+    ZS = np.array([0.0, 0.5, 1.0, 3.0])
+    EPS = 1j * np.array([1e-3, 2e-3, 3e-3, 4e-3])
+
+    @pytest.mark.parametrize("spec", ["lognormal:0,0.5", "uniform:0.5,2",
+                                      "empirical"])
+    def test_every_quantity_is_the_one_point_mixtures(self, spec):
+        F = (Empirical.from_values([0.5, 1.0, 1.0, 4.0]) if spec == "empirical"
+             else parse_distribution(spec))
+        G = Contaminated(F, self.EPS, self.ZS)
+        points = [contaminate(F, complex(e), z)
+                  for e, z in zip(self.EPS, self.ZS)]
+        g = lambda x: np.sqrt(x)
+        quantities = [lambda C: C.mean(), lambda C: C.expect(g),
+                      lambda C: C.expect(g, key="sqrt"), lambda C: C.cdf(1.0),
+                      lambda C: C.mass(1.0), lambda C: C.mass(0.7),
+                      lambda C: C.partial_mean(1.0),
+                      lambda C: C.partial_mean(0.2)]
+        for quantity in quantities:
+            got = quantity(G)
+            assert got.shape == self.ZS.shape
+            np.testing.assert_allclose(
+                got, [complex(quantity(C)) for C in points],
+                rtol=1e-15, atol=1e-300)
+
+    def test_quantile_and_support_ends_need_one_point(self):
+        G = Contaminated(make_distribution("exp", 1.0), self.EPS, self.ZS)
+        for read in (lambda: G.quantile(0.5), lambda: G.lep, lambda: G.uep):
+            with pytest.raises(InvalidParameter, match="grid"):
+                read()
+
+    @pytest.mark.parametrize("eps,zs", [
+        (np.array([1e-3, 2e-3]), np.array([1.0, 2.0])),  # real steps
+        (np.array([1e-3j, 2e-3j]), np.array([1.0, 2.0, 3.0])),  # shapes
+        (np.array([1e-3j, 1.0 + 2e-3j]), np.array([1.0, 2.0])),  # not imaginary
+        (np.array([1e-3j, complex(0.0, math.inf)]), np.array([1.0, 2.0])),
+        (np.array([1e-3j, 2e-3j]), np.array([1.0, -2.0])),  # z < 0
+        (1e-3j, np.array([1.0, 2.0])),  # one step for many points
+    ])
+    def test_invalid_grids(self, eps, zs):
+        with pytest.raises(InvalidParameter, match="grid of points"):
+            Contaminated(make_distribution("exp", 1.0), eps, zs)
+
+    def test_descriptor_counts_the_points(self):
+        G = Contaminated(make_distribution("exp", 1.0), self.EPS, self.ZS)
+        assert G.descriptor() == (
+            "contaminated(exp:1,eps=<4 imaginary steps>,z=<4 points>)")
 
 
 class TestSupportEnds:

@@ -238,7 +238,7 @@ class TestComplexStepOracle:
         monkeypatch.setattr(influence, "derivative_at_zero_plus",
                             no_richardson)
         F = make_distribution("exp", 1.0)
-        for mid in COMPLEX_STEP_IDS:
+        for mid in COMPLEX_STEP_IDS + ("qsr",):
             assert math.isfinite(gateaux_if(parse_measure_id(mid), F, 2.0).value)
 
     def test_huge_if_stays_in_the_linear_regime(self):
@@ -277,14 +277,119 @@ class TestComplexStepOracle:
     @pytest.mark.parametrize("spec_name", ["lognormal:0.706274,0.925595",
                                            "sm:2.47803,3.55809,3.4562",
                                            "sm:2.46473,0.875107,3.01069"])
-    def test_qsr_retries_one_decade_down(self, spec_name):
-        # the first step of 1e-2 lies outside the asymptotic regime at the
-        # level-0.06 grid point; the quotients are smooth
+    def test_qsr_complex_step_where_richardson_left_its_regime(self,
+                                                                spec_name):
+        # a Richardson first step of 1e-2 lies outside the asymptotic regime
+        # at the level-0.06 grid point; the complex step has no such step
         F = parse_distribution(spec_name)
         curve = if_curve("qsr", F, default_grid(F, "qsr"), with_oracle=True)
         assert not curve.point_errors
         scale = np.max(np.abs(curve.closed_form))
-        assert curve.max_abs_discrepancy <= 4e-10 * scale
+        assert curve.max_abs_discrepancy <= 1e-12 * scale
+
+
+def _one_point_oracle(T, F, grid):
+    """gateaux_if at each point: values (NaN where it raises) and the
+    errors as if_curve records them."""
+    values, errors = [], []
+    for i, z in enumerate(grid):
+        try:
+            values.append(gateaux_if(T, F, float(z)).value)
+        except Exception as exc:
+            values.append(math.nan)
+            errors.append((i, f"oracle: {exc}"))
+    return np.array(values), errors
+
+
+class TestGridOracle:
+    """if_curve evaluates T once on a grid of mixtures; gateaux_if is its
+    one-point case, with the same values and the same per-point errors."""
+
+    @pytest.mark.parametrize("mid,spec_name", [
+        (mid, m) for m in SCALE_MODELS for mid in COMPLEX_STEP_IDS + ("qsr",)])
+    def test_grid_equals_one_point(self, mid, spec_name):
+        F = parse_distribution(spec_name)
+        T = parse_measure_id(mid)
+        curve = if_curve(T, F, default_grid(F, T, 12), with_oracle=True)
+        values, errors = _one_point_oracle(T, F, curve.grid)
+        assert [e for e in curve.point_errors
+                if e[1].startswith("oracle")] == errors
+        finite = np.isfinite(values)
+        np.testing.assert_array_equal(np.isfinite(curve.oracle), finite)
+        if finite.any():
+            scale = np.max(np.abs(values[finite]))
+            assert np.max(np.abs(curve.oracle - values)[finite]) \
+                <= 1e-15 * scale
+
+    @pytest.mark.parametrize("mid,spec_name,grid", [
+        ("mld", "exp:1", [0.0, 0.5, 1.0]),  # zero income
+        ("theil", "uniform:1e-300,2e-300", [1.5e-300, 1e10]),  # step of 0
+        ("qsr", "uniform:1e-300,2e-300", [1.5e-300, 1e10]),  # D = 0 first
+        ("ge:-1", "exp:1", [0.5, 1.0, 2.0]),  # E X^-1 diverges
+        ("kolm:1", "exp:2e-05", [1e4, 5e4, 1e5]),  # h1(mu) underflows
+        ("atkinson:-2", "pareto:3,1", [1e-160, 1.0]),  # non-finite IF
+    ])
+    def test_errors_are_the_one_point_errors(self, mid, spec_name, grid):
+        F = parse_distribution(spec_name)
+        T = parse_measure_id(mid)
+        curve = if_curve(T, F, grid, with_oracle=True)
+        values, errors = _one_point_oracle(T, F, grid)
+        oracle_errors = [e for e in curve.point_errors
+                         if e[1].startswith("oracle")]
+        assert oracle_errors and oracle_errors == errors
+        np.testing.assert_array_equal(np.isnan(curve.oracle), np.isnan(values))
+
+    @pytest.mark.parametrize("spec_name", ["exp:1", "lognormal:0,0.5",
+                                           "uniform:0,1"])
+    def test_one_contaminated_evaluation_per_curve(self, monkeypatch,
+                                                   spec_name):
+        from ineqif import MeasureFunctional
+        from ineqif.distributions import Contaminated
+
+        calls = []
+        evaluate = MeasureFunctional.evaluate
+
+        def counted(self, F):
+            calls.append(isinstance(F, Contaminated))
+            return evaluate(self, F)
+
+        monkeypatch.setattr(MeasureFunctional, "evaluate", counted)
+        F = parse_distribution(spec_name)
+        for mid in DEFAULT_MEASURE_IDS:
+            calls.clear()
+            curve = if_curve(mid, F, default_grid(F, mid), with_oracle=True)
+            assert not curve.point_errors
+            assert sum(calls) == 1, mid
+
+    def test_qsr_oracle_at_the_quintiles_is_the_closed_forms_limit(
+            self, fleet):
+        # the closed form refuses z = Q(p) (KinkPoint) but is continuous
+        # there; Richardson read the jump of the atom-in-full QSR instead
+        T = parse_measure_id("qsr")
+        for F in fleet.values():
+            kernel = influence._closed_if_vectorized(T, F)
+            scale = np.max(np.abs(kernel(default_grid(F, T))))
+            for p in (0.2, 0.8):
+                q = F.quantile(p)
+                oracle = gateaux_if(T, F, q).value
+                for side in (0.0, math.inf):
+                    limit = kernel(np.nextafter(q, side))
+                    assert abs(oracle - limit) <= 1e-12 * scale, (F, p, side)
+
+    def test_qsr_on_an_atom_at_a_quintile_keeps_richardson(self,
+                                                            monkeypatch):
+        calls = []
+        richardson = influence.derivative_at_zero_plus
+        monkeypatch.setattr(influence, "derivative_at_zero_plus",
+                            lambda *a: calls.append(1) or richardson(*a))
+        # Q(0.2) = 2 and Q(0.8) = 6 stay put under a small contamination at
+        # z = 3.5 (F(2) = 2/7 > 0.2): the atom-in-full N and D are both
+        # (1 - eps) times their base values, so the QSR is 7/3 along the path
+        F = Empirical.from_values([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        assert F.mass(F.quantile(0.2)) > 0.0
+        assert gateaux_if(parse_measure_id("qsr"), F, 3.5).value == \
+            pytest.approx(0.0, abs=1e-9)
+        assert calls
 
 
 class TestAsymptoticVariance:
@@ -307,6 +412,19 @@ class TestAsymptoticVariance:
         for F in fleet.values():
             for mid in ("theil", "mld", "gini", "qsr"):
                 assert asymptotic_variance(parse_measure_id(mid), F) >= 0.0
+
+    def test_gini_reads_the_partial_mean_in_one_call(self, monkeypatch):
+        calls = []
+        partial_mean = Empirical.partial_mean
+        monkeypatch.setattr(Empirical, "partial_mean", lambda self, t: (
+            calls.append(np.shape(t)) or partial_mean(self, t)))
+        s = Empirical.from_values(np.random.default_rng(3).lognormal(size=500))
+        T = parse_measure_id("gini")
+        variance = asymptotic_variance(T, s)
+        assert calls == [(500,)]
+        by_point = [if_special(T, s, float(x)) for x in s.values]
+        assert variance == pytest.approx(np.mean(np.square(by_point)),
+                                         rel=1e-12)
 
     def test_qsr_on_a_sample_lists_no_atoms(self):
         s = Empirical.from_values(np.random.default_rng(3).lognormal(size=500))
