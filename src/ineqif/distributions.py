@@ -11,11 +11,16 @@ through atoms, no quadrature).
 A parametric model answers a keyed moment from its closed form first
 (`_moment`): E X^c on every kind, E log X and E X log X on every kind but
 the uniform (there they would cancel near equality), E e^{-aX} on the
-exponential and the uniform, and the Gini's first moment E[X F(X)].
-Outside a form's domain, and for every other expectation, it computes the
-moment in probability space, in the quantile form E g(X) = integral over
-p in [0, 1] of g(Q(p)), on finite intervals only; that quadrature also
-raises where a moment diverges. The upper half reads the inverse survival
+exponential and the uniform, and the Gini's first moment E[X F(X)]. The
+asymptotic variances read three more forms (`_closed_moment`): the
+log-power moments E X^c log X and E X^c log^2 X, the first two
+c-derivatives of E X^c, on every kind, and E X e^{-aX} on the exponential
+and the uniform. Outside a form's domain the moment is infinite, and
+`_closed_moment` raises MomentDiverges. Outside the domain, and for every
+other expectation, `expect` computes the moment in probability space,
+in the quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on
+finite intervals only; that quadrature also raises where a moment
+diverges. The upper half reads the inverse survival
 function Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and
 both ends are graded as p = u**8, which makes power-law ends regular
 integrands. The quantile carries the scale, so the quadrature nodes do not
@@ -42,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, MomentDiverges
 # bisect_nondecreasing is unused here; the benchmark tracer patches this name.
 from .numeric import (  # noqa: F401
     _make_evaluator,
@@ -214,8 +219,17 @@ class Distribution:
         """The closed form of the moment `key` names, or None: for a key
         the kind has no form for, outside the form's domain (the moment
         diverges, and the quadrature raises as it would anyway) and where
-        the form overflows. `neglog` is minus `log`, and the Gini's first
-        moment is mu (1 + G)/2."""
+        the form overflows."""
+        try:
+            return self._closed_moment(key)
+        except MomentDiverges:
+            return None
+
+    def _closed_moment(self, key):
+        """The closed form of the moment `key` names: None for a key the
+        kind has no form for and where the form overflows; MomentDiverges
+        outside the form's domain, where the moment is infinite. `neglog`
+        is minus `log`, and the Gini's first moment is mu (1 + G)/2."""
         if not isinstance(key, str):
             return None
         name, sep, arg = key.partition(":")
@@ -234,9 +248,11 @@ class Distribution:
         return value if math.isfinite(value) else None
 
     def _closed_form(self, name: str, c):
-        """The kind's closed forms by key name: E X^c (`pow`), E log X
-        (`log`), E X log X (`xlogx`), E e^{-cX} (`expneg`) and the Gini
-        coefficient (`gini`); None where it has none."""
+        """The kind's closed forms by key name: E X^c (`pow`), E X^c log X
+        (`powlog`), E X^c log^2 X (`powlog2`), E log X (`log`), E X log X
+        (`xlogx`), E e^{-cX} (`expneg`), E X e^{-cX} (`xexpneg`) and the
+        Gini coefficient (`gini`); None where it has none. Outside a
+        form's domain it raises MomentDiverges (`_diverges`)."""
         return None
 
     def _expect_impl(self, g) -> float:
@@ -293,6 +309,31 @@ def _graded_tails(F: Distribution, g):
         return np.where(inside, (gx[:n] + gx[n:]) * dp, 0.0)
 
     return integrand
+
+
+def _diverges(name: str, c) -> MomentDiverges:
+    """The error of a closed form asked outside its domain, where the
+    moment it names is infinite."""
+    return MomentDiverges(f"the moment {name}:{_fmt(c)} diverges")
+
+
+def _log_power(name: str, m: float, d1: float, d2: float) -> float:
+    """E X^c log X (`powlog`) or E X^c log^2 X (`powlog2`) from m = E X^c
+    and the first two c-derivatives d1, d2 of log E X^c: the first two
+    c-derivatives of E X^c, m d1 and m (d1^2 + d2)."""
+    return m * d1 if name == "powlog" else m * (d1 * d1 + d2)
+
+
+def _psi_pair(x: float):
+    """(digamma(x), trigamma(x)). At an integer x in [1, 16] they are
+    elementary, H_{x-1} - gamma and pi^2/6 - sum_{j < x} 1/j^2, and load
+    no scipy; elsewhere `scipy.special` answers."""
+    if x == int(x) and 1 <= x <= 16:
+        js = range(1, int(x))
+        return (math.fsum(1.0 / j for j in js) - _EULER,
+                math.pi ** 2 / 6.0 - math.fsum(1.0 / (j * j) for j in js))
+    special = _special()
+    return float(special.digamma(x)), float(special.polygamma(1, x))
 
 
 def _check_prob(p: float) -> float:
@@ -356,15 +397,27 @@ class Exponential(Distribution):
         return (1.0 - math.exp(-lt) * (1.0 + lt)) / self.rate
 
     def _closed_form(self, name, c):
+        # E X^c = Gamma(1 + c)/rate^c for c > -1: its log has the
+        # c-derivatives digamma(1 + c) - log rate and trigamma(1 + c)
         rate = self.rate
-        if name == "pow":
-            return math.gamma(1.0 + c) / rate ** c if c > -1.0 else None
+        if name in ("pow", "powlog", "powlog2"):
+            if not c > -1.0:
+                raise _diverges(name, c)
+            m = math.gamma(1.0 + c) / rate ** c
+            if name == "pow":
+                return m
+            psi, psi1 = _psi_pair(1.0 + c)
+            return _log_power(name, m, psi - math.log(rate), psi1)
         if name == "log":
             return -_EULER - math.log(rate)
         if name == "xlogx":
             return (1.0 - _EULER - math.log(rate)) / rate
-        if name == "expneg":
-            return rate / (rate + c) if rate + c > 0.0 else None
+        if name in ("expneg", "xexpneg"):
+            if not rate + c > 0.0:
+                raise _diverges(name, c)
+            ratio = rate / (rate + c)
+            # E X e^{-cX}: the tilted law is exponential at rate + c
+            return ratio if name == "expneg" else ratio / (rate + c)
         if name == "gini":
             return 0.5
         return None
@@ -427,9 +480,17 @@ class Pareto(Distribution):
         return self.mean() * (1.0 - (t / self.scale) ** (1.0 - self.shape))
 
     def _closed_form(self, name, c):
+        # E X^c = k s^c/(k - c) for c < k: its log has the c-derivatives
+        # log s + 1/(k - c) and 1/(k - c)^2
         k, s = self.shape, self.scale
-        if name == "pow":
-            return k * s ** c / (k - c) if c < k else None
+        if name in ("pow", "powlog", "powlog2"):
+            if not c < k:
+                raise _diverges(name, c)
+            m = k * s ** c / (k - c)
+            if name == "pow":
+                return m
+            r = 1.0 / (k - c)
+            return _log_power(name, m, math.log(s) + r, r * r)
         if name == "log":
             return math.log(s) + 1.0 / k
         if name == "xlogx":
@@ -505,9 +566,15 @@ class LogNormal(Distribution):
         return self.mean() * _ncdf(u)
 
     def _closed_form(self, name, c):
+        # E X^c = exp(c m + c^2 sigma^2/2): its log has the c-derivatives
+        # m + c sigma^2 and sigma^2
         m, sigma = self.log_mean, self.sigma
-        if name == "pow":
-            return math.exp(c * m + 0.5 * (c * sigma) ** 2)
+        if name in ("pow", "powlog", "powlog2"):
+            power = math.exp(c * m + 0.5 * (c * sigma) ** 2)
+            if name == "pow":
+                return power
+            return _log_power(name, power, m + c * sigma * sigma,
+                              sigma * sigma)
         if name == "log":
             return m
         if name == "xlogx":
@@ -594,14 +661,22 @@ class SinghMaddala(Distribution):
 
     def _closed_form(self, name, c):
         # E X^c = b^c G(1 + c/a) G(q - c/a) / G(q), for -a < c < a q; E log X
-        # and E X log X are its derivatives in c at c = 0 and c = 1
+        # and E X log X are its derivatives in c at c = 0 and c = 1. Its
+        # log has the c-derivatives log b + (psi(1 + c/a) - psi(q - c/a))/a
+        # and (psi'(1 + c/a) + psi'(q - c/a))/a^2.
         a, b, q = self.a, self.b, self.q
-        if name == "pow":
+        if name in ("pow", "powlog", "powlog2"):
             if not -a < c < a * q:
-                return None
+                raise _diverges(name, c)
             # (a + c)/a, not 1 + c/a: exact where c nears -a
-            return b ** c * math.exp(math.lgamma((a + c) / a)
-                                     + math.lgamma(q - c / a) - math.lgamma(q))
+            lo, hi = (a + c) / a, q - c / a
+            m = b ** c * math.exp(math.lgamma(lo) + math.lgamma(hi)
+                                  - math.lgamma(q))
+            if name == "pow":
+                return m
+            (psi_lo, psi1_lo), (psi_hi, psi1_hi) = _psi_pair(lo), _psi_pair(hi)
+            return _log_power(name, m, math.log(b) + (psi_lo - psi_hi) / a,
+                              (psi1_lo + psi1_hi) / (a * a))
         if name == "log":
             psi = _special().digamma
             return math.log(b) + float(psi(1.0) - psi(q)) / a
@@ -617,6 +692,19 @@ class SinghMaddala(Distribution):
 
     def descriptor(self):
         return f"sm:{_fmt(self.a)},{_fmt(self.b)},{_fmt(self.q)}"
+
+
+def _uniform_log_power(name: str, t: float, x: float) -> float:
+    """An antiderivative of x^(t-1) log^k x at x, 0 at x = 0 where t > 0:
+    x^t (log x - 1/t)/t for k = 1 (`powlog`), x^t ((log x - 1/t)^2
+    + 1/t^2)/t for k = 2 (`powlog2`), and log^(k+1) x/(k+1) at t = 0."""
+    if x == 0.0:
+        return 0.0
+    log_x = math.log(x)
+    if t == 0.0:
+        return log_x ** 2 / 2.0 if name == "powlog" else log_x ** 3 / 3.0
+    u = log_x - 1.0 / t
+    return x ** t * (u if name == "powlog" else u * u + 1.0 / (t * t)) / t
 
 
 @dataclass(frozen=True)
@@ -680,13 +768,33 @@ class Uniform(Distribution):
                 log_ratio = math.log1p(u) if u > -1.0 else -math.inf
                 return hi ** c * math.expm1(t * log_ratio) / (t * u)
             if lo == 0.0:
-                return None  # E X^c diverges at 0 for c <= -1
+                raise _diverges(name, c)  # E X^c diverges at 0 for c <= -1
             if t == 0.0:
                 return math.log1p(d / lo) / d
             return lo ** t * -math.expm1(t * math.log1p(d / lo)) / (-t * d)
-        if name == "expneg":
+        if name in ("powlog", "powlog2"):
+            # (G(hi) - G(lo))/d with G an antiderivative of x^c log^k x;
+            # they cancel near equality, where the variance's guard refuses
+            t = c + 1.0
+            if lo == 0.0 and not t > 0.0:
+                raise _diverges(name, c)  # as E X^c, log^k X does not help
+            return (_uniform_log_power(name, t, hi)
+                    - _uniform_log_power(name, t, lo)) / d
+        if name in ("expneg", "xexpneg"):
             w = c * d
-            return math.exp(-c * lo) * -math.expm1(-w) / w
+            expneg = math.exp(-c * lo) * -math.expm1(-w) / w
+            if name == "expneg":
+                return expneg
+            # E X e^{-cX} = E e^{-cX} (lo + d m(w)): under the tilted law
+            # (X - lo)/d is a truncated exponential of mean
+            # m(w) = 1/w - 1/(e^w - 1), by its Bernoulli series near w = 0
+            if abs(w) < 0.1:
+                w2 = w * w
+                m = 0.5 - w / 12.0 * (1.0 - w2 / 60.0 * (
+                    1.0 - w2 / 42.0 * (1.0 - w2 / 40.0)))
+            else:
+                m = 1.0 / w - 1.0 / math.expm1(w)
+            return expneg * (lo + d * m)
         if name == "gini":
             return d / (3.0 * (hi + lo))
         return None

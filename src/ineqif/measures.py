@@ -81,10 +81,13 @@ def _log(s):
 # (function, derivative) pairs the quadruples are built from; each function
 # keeps a complex argument complex, and an array an array, for the
 # complex-step oracle. h needs no derivative: Theorem 1 reads only tau', h1'
-# and h2'.
+# and h2'. Each h1 also comes with its ratio h1'/h1, which Theorem 1 reads
+# in place of h1' (`h1_ratio`).
 _ZERO = (lambda s: 0.0, lambda s: 0.0)
 _ONE = (lambda s: 1.0, lambda s: 0.0)
+_ONE_RATIO = lambda s: 0.0
 _IDENTITY = (lambda s: s, lambda s: 1.0)
+_IDENTITY_RATIO = lambda s: 1.0 / s
 _LOG = (np.log, lambda s: 1.0 / s)
 _NEG_LOG = (lambda s: -np.log(s), lambda s: -1.0 / s)
 
@@ -92,6 +95,10 @@ _NEG_LOG = (lambda s: -np.log(s), lambda s: -1.0 / s)
 def _power(a: float):
     return (lambda s: np.asarray(s) ** a,
             lambda s: a * np.asarray(s) ** (a - 1.0))
+
+
+def _power_ratio(a: float):
+    return lambda s: a / s
 
 
 def _exp_neg(a: float):
@@ -103,8 +110,10 @@ def _exp_neg(a: float):
 class TheilLikeSpec:
     """One family member: the quadruple, its derivatives, and metadata.
 
-    The callables accept scalars or numpy arrays. `requires_positive` marks
-    transforms (logs, negative powers) undefined at zero income.
+    The callables accept scalars or numpy arrays. `h1_ratio` is
+    h1'(s)/h1(s), finite where h1' or h1 alone leaves the float range.
+    `requires_positive` marks transforms (logs, negative powers) undefined
+    at zero income.
     """
 
     family: str
@@ -114,6 +123,7 @@ class TheilLikeSpec:
     h: Callable
     h1: Callable
     h1_prime: Callable
+    h1_ratio: Callable
     h2: Callable
     h2_prime: Callable
     requires_positive: bool
@@ -124,13 +134,16 @@ class TheilLikeSpec:
 _PARAM_FREE = {"theil", "mld", "champernowne"}
 
 
-def _member(family: str, prefix: str, param: Optional[float], tau, h, h1, h2,
-            requires_positive: bool, h_key: str) -> TheilLikeSpec:
-    """A spec from h and the (function, derivative) pairs of tau, h1, h2."""
+def _member(family: str, prefix: str, param: Optional[float], tau, h, h1,
+            h1_ratio, h2, requires_positive: bool,
+            h_key: str) -> TheilLikeSpec:
+    """A spec from h, the (function, derivative) pairs of tau, h1, h2 and
+    the ratio h1'/h1."""
     return TheilLikeSpec(
         family=family, param=param,
         tau=tau[0], tau_prime=tau[1], h=h,
-        h1=h1[0], h1_prime=h1[1], h2=h2[0], h2_prime=h2[1],
+        h1=h1[0], h1_prime=h1[1], h1_ratio=h1_ratio,
+        h2=h2[0], h2_prime=h2[1],
         requires_positive=requires_positive, h_key=h_key,
         measure_id=prefix if param is None else f"{prefix}:{_fmt(param)}",
     )
@@ -163,15 +176,16 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         c = a * (a - 1.0)
         return _member("generalized_entropy", "ge", a,
                        (lambda s: (s - 1.0) / c, lambda s: 1.0 / c),
-                       _power(a)[0], _power(a), _ZERO, a < 0, f"pow:{a!r}")
+                       _power(a)[0], _power(a), _power_ratio(a), _ZERO,
+                       a < 0, f"pow:{a!r}")
 
     if family == "theil":
         return _member("theil", "theil", None, _IDENTITY, _xlogx, _IDENTITY,
-                       _LOG, False, "xlogx")
+                       _IDENTITY_RATIO, _LOG, False, "xlogx")
 
     if family == "mld":
         return _member("mld", "mld", None, _IDENTITY, _NEG_LOG[0], _ONE,
-                       _NEG_LOG, True, "neglog")
+                       _ONE_RATIO, _NEG_LOG, True, "neglog")
 
     if family == "atkinson":
         if not (a < 1.0 and a != 0.0):
@@ -181,19 +195,21 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         return _member("atkinson", "atkinson", a,
                        (lambda s: 1.0 - s ** (1.0 / a),
                         lambda s: -(1.0 / a) * s ** (1.0 / a - 1.0)),
-                       _power(a)[0], _power(a), _ZERO, a < 0, f"pow:{a!r}")
+                       _power(a)[0], _power(a), _power_ratio(a), _ZERO,
+                       a < 0, f"pow:{a!r}")
 
     if family == "champernowne":
         return _member("champernowne", "champernowne", None,
                        (lambda s: 1.0 - _exp(s), lambda s: -_exp(s)),
-                       _LOG[0], _ONE, _LOG, True, "log")
+                       _LOG[0], _ONE, _ONE_RATIO, _LOG, True, "log")
 
     if family == "kolm":
         if not a > 0:
             raise InvalidParameter(f"kolm requires alpha > 0, got {a}")
         return _member("kolm", "kolm", a,
                        (lambda s: _log(s) / a, lambda s: 1.0 / (a * s)),
-                       _exp_neg(a)[0], _exp_neg(a), _ZERO, False, f"expneg:{a!r}")
+                       _exp_neg(a)[0], _exp_neg(a), lambda s: -a, _ZERO,
+                       False, f"expneg:{a!r}")
 
     raise InvalidParameter(f"unknown family {family!r}")
 
@@ -232,6 +248,17 @@ class FunctionalValue:
     eh: float
 
 
+def _checked_h1(spec: TheilLikeSpec, mu):
+    """h1(mu), which every quadruple formula divides by; DegenerateDenominator
+    where it is 0 or not finite."""
+    h1_mu = _scalar(spec.h1(mu))
+    if _degenerate(h1_mu):
+        raise DegenerateDenominator(
+            f"h1(mu)={h1_mu!r} for {spec.measure_id} at mu={mu!r}"
+        )
+    return h1_mu
+
+
 def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
     """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu)).
 
@@ -251,11 +278,7 @@ def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
             f"E h(X) fails to converge for {spec.measure_id} on "
             f"{F.descriptor()}: {exc}"
         ) from exc
-    h1_mu = _scalar(spec.h1(mu))
-    if _degenerate(h1_mu):
-        raise DegenerateDenominator(
-            f"h1(mu)={h1_mu!r} for {spec.measure_id} at mu={mu!r}"
-        )
+    h1_mu = _checked_h1(spec, mu)
     index_arg = eh / h1_mu - _scalar(spec.h2(mu))
     return FunctionalValue(value=_scalar(spec.tau(index_arg)),
                            index_arg=index_arg, mu=mu, eh=eh)

@@ -486,22 +486,23 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "MomentDiverges"
 
-    def test_overflowing_lever_is_a_numeric_error(self, capsys):
-        # h1(mu) = mu^-2 ~ 4.4e299 passes functional_value's check, but
-        # the lever reads h1'(mu) = -2 mu^-3, which overflows
-        rc = main(["variance", "--ids", "ge:-2", "--dist",
-                   "uniform:1e-150,2e-150", "--format", "json"])
-        assert rc == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["type"] == "DegenerateDenominator"
+    def test_tiny_scale_variance_is_the_unit_scale_variance(self, capsys):
+        # h1'(mu) = -2 mu^-3 overflows at mu = 1.5e-150; the kernel reads
+        # the ratio h1'(mu)/h1(mu) = -2/mu instead. GE is scale invariant.
+        sigma2 = []
+        for spec in ("uniform:1e-150,2e-150", "uniform:1,2"):
+            rc, payload = _json_run(["variance", "--ids", "ge:-2", "--dist",
+                                     spec], capsys)
+            assert rc == 0
+            sigma2.append(payload["results"][0]["sigma2"])
+        assert sigma2[0] == pytest.approx(sigma2[1], rel=1e-9)
 
-    def test_unbuildable_closed_form_skip_names_the_reason(self, capsys):
-        assert main(["verify", "--ids", "ge:-2", "--dist",
-                     "uniform:1e-150,2e-150", "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        normative = [r for r in rows if r["normative"]]
-        assert [r["verdict"] for r in normative] == ["SKIP"]
-        assert "h1'(mu)=-inf" in normative[0]["note"]
+    def test_tiny_scale_theorem1_passes(self, capsys):
+        rc, payload = _json_run(["verify", "--ids", "ge:-2", "--dist",
+                                 "uniform:1e-150,2e-150"], capsys)
+        assert rc == 0
+        normative = [r for r in payload["rows"] if r["normative"]]
+        assert [r["verdict"] for r in normative] == ["PASS"]
 
     def test_tiny_kolm_lever_is_exact(self, capsys):
         # h1(mu) = e^{-mu} ~ 1.5e-256 at mu = 589: its square underflows,
@@ -601,12 +602,13 @@ class TestPerIdErrors:
         assert lines[2].startswith("kolm:1,,DegenerateDenominator: ")
 
     def test_variance_keeps_the_other_rows(self, capsys):
-        assert main(["variance", "--ids", "gini,ge:-2", "--dist",
-                     "uniform:1e-150,2e-150", "--format", "json"]) == 2
+        # ge:2's variance needs E X^4, which is infinite on pareto:3,1
+        assert main(["variance", "--ids", "gini,ge:2", "--dist",
+                     "pareto:3,1", "--format", "json"]) == 2
         gini_row, ge_row = json.loads(capsys.readouterr().out)["results"]
         assert gini_row["sigma2"] > 0 and "error" not in gini_row
         assert ge_row["sigma2"] is None
-        assert ge_row["error"].startswith("DegenerateDenominator: ")
+        assert ge_row["error"].startswith("MomentDiverges: ")
 
     def test_lognormal_at_income_scale(self, capsys):
         # the x-space quadrature returned -1, -10.125 and 10.125 here
@@ -802,14 +804,28 @@ class TestOneAdjudicationRoute:
             in curve["point_errors"]
 
     def test_failing_formula_leaves_a_null_cell(self, capsys):
-        rc, payload = _json_run(["compare-ge", "--dist", "pareto:3,1",
-                                 "--alpha", "-2", "--grid",
-                                 "1e-156:1e-154:3:log"], capsys)
+        # the without-coefficient display reads mu^3 ~ 3.4e309, which
+        # overflows; the Theorem-1 kernel and the oracle stay finite
+        rc, payload = _json_run(["compare-ge", "--dist", "pareto:3,1e103",
+                                 "--alpha", "2", "--grid",
+                                 "1e103:1e104:2:log"], capsys)
         assert rc == 0
-        row = payload["rows"][0]
-        assert row["if_with_coeff"] is None and row["abs_err_with"] is None
+        row = payload["rows"][1]
+        assert row["if_without_coeff"] is None
+        assert row["abs_err_without"] is None
         assert row["oracle"] is not None
-        assert payload["with_coefficient_matches_oracle"] is False
+        assert payload["with_coefficient_matches_oracle"] is True
+
+    def test_huge_level_is_finite(self, capsys):
+        # (h(z) - E h)/h1(mu) overflows at z = 1e-154; tau'(I)/h1(mu) = 0.375
+        # folded in first keeps the IF 3.75e307, as the oracle reads it
+        rc, curve = _json_run(["if-curve", "--dist", "pareto:3,1", "--id",
+                               "ge:-2", "--oracle", "--grid",
+                               "1e-156:1e-154:3:log"], capsys)
+        assert rc == 0
+        row = curve["rows"][2]
+        assert row["if_closed"] == pytest.approx(3.75e307, rel=1e-12)
+        assert row["if_oracle"] == pytest.approx(3.75e307, rel=1e-12)
 
     def test_no_oracle_point_is_no_match(self, capsys):
         rc, payload = _json_run(["compare-ge", "--dist", "uniform:0,1",

@@ -485,9 +485,12 @@ class TestIFCurve:
 
     @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
                                            "pareto:3,1", "lognormal:0,0.5",
-                                           "sm:2,1,3"])
+                                           "sm:2,1,3",
+                                           "uniform:1e-150,2e-150"])
     def test_qsr_oracle_tracks_closed_form(self, spec_name):
-        # exact mixture quintiles keep quantization out of the QSR quotients
+        # exact mixture quintiles keep quantization out of the QSR quotients;
+        # the kink band is relative to the quintile, so at mu = 1.5e-150 it
+        # does not swallow the whole grid
         F = parse_distribution(spec_name)
         curve = if_curve("qsr", F, default_grid(F, "qsr"), with_oracle=True)
         assert not curve.point_errors
