@@ -31,11 +31,11 @@ density `pdf` as an independent x-space route for the tests.
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
 quadrature across the atom. The numerical Gateaux oracle depends on that
-exact linearity in eps, and its complex step takes a purely imaginary eps
-through the mean, the atom masses and the moments unchanged. A mixture may
-also hold a whole grid of points z, each with its own imaginary step: its
-mean, moments, cdf, atom masses and partial means are then arrays over the
-grid, and the oracle reads every point from one evaluation of the measure.
+exact linearity in eps. Its complex step contaminates at a grid of points
+z, each with its own purely imaginary step: the mixture's mean, moments,
+cdf, atom masses and partial means are then complex arrays over the grid,
+and the oracle reads every point from one evaluation of the measure. A
+real eps in [0, 1] mixes at one point z.
 """
 from __future__ import annotations
 
@@ -117,17 +117,9 @@ def _is_array(x) -> bool:
 
 
 def _scalar(x):
-    """x as a Python float, or as a Python complex where it is complex (on
-    the complex-step oracle's path, whose eps is imaginary); an array with
-    dimensions is returned as it is."""
-    if _is_array(x):
-        return x
-    return complex(x) if isinstance(x, complex) else float(x)
-
-
-def _real(x):
-    """x as a Python float, or as a float array where it has dimensions."""
-    return np.asarray(x, dtype=float) if _is_array(x) else float(x)
+    """x as a Python float; an array with dimensions (per point of the
+    oracle's grid) is returned as it is."""
+    return x if _is_array(x) else float(x)
 
 
 def _fmt(v: float) -> str:
@@ -166,8 +158,8 @@ class Distribution:
         raise NotImplementedError
 
     def partial_mean(self, t):
-        """E[X 1{X <= t}], with atoms at t counted in full; per element on
-        an array of t."""
+        """E[X 1{X <= t}], with atoms at t counted in full: a Python float
+        at a float t, and per element on an array of t, by one formula."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -383,18 +375,11 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
     def partial_mean(self, t):
-        if _is_array(t):
-            t = np.maximum(np.asarray(t, dtype=float), 0.0)
-            lt = self.rate * t
-            with np.errstate(invalid="ignore"):  # 0 * inf at t = inf
-                pm = (1.0 - np.exp(-lt) * (1.0 + lt)) / self.rate
-            return np.where(np.isinf(t), self.mean(), pm)
-        if t <= 0:
-            return 0.0
-        if math.isinf(t):
-            return self.mean()
-        lt = self.rate * t
-        return (1.0 - math.exp(-lt) * (1.0 + lt)) / self.rate
+        # past rate * t = 1e3, e^{-lt} (1 + lt) is 0 and the partial mean
+        # is the mean: the cap keeps 0 * inf out at t = inf
+        lt = np.minimum(np.maximum(self.rate * np.asarray(t, dtype=float),
+                                   0.0), 1e3)
+        return _scalar((1.0 - np.exp(-lt) * (1.0 + lt)) / self.rate)
 
     def _closed_form(self, name, c):
         # E X^c = Gamma(1 + c)/rate^c for c > -1: its log has the
@@ -469,15 +454,9 @@ class Pareto(Distribution):
         return self.shape * self.scale / (self.shape - 1.0)
 
     def partial_mean(self, t):
-        if _is_array(t):
-            # below the scale the ratio is 1 and the mass 0; at inf it is 0
-            ratio = np.maximum(np.asarray(t, dtype=float), self.scale) / self.scale
-            return self.mean() * (1.0 - ratio ** (1.0 - self.shape))
-        if t <= self.scale:
-            return 0.0
-        if math.isinf(t):
-            return self.mean()
-        return self.mean() * (1.0 - (t / self.scale) ** (1.0 - self.shape))
+        # below the scale the ratio is 1 and the mass 0; at inf it is 0
+        ratio = np.maximum(np.asarray(t, dtype=float), self.scale) / self.scale
+        return _scalar(self.mean() * (1.0 - ratio ** (1.0 - self.shape)))
 
     def _closed_form(self, name, c):
         # E X^c = k s^c/(k - c) for c < k: its log has the c-derivatives
@@ -553,17 +532,11 @@ class LogNormal(Distribution):
         return math.exp(self.log_mean + 0.5 * self.sigma ** 2)
 
     def partial_mean(self, t):
-        if _is_array(t):
-            t = np.asarray(t, dtype=float)
-            safe = np.where(t > 0, t, 1.0)
-            u = (np.log(safe) - self.log_mean - self.sigma ** 2) / self.sigma
-            return np.where(t > 0, self.mean() * _ncdf_array(u), 0.0)
-        if t <= 0:
-            return 0.0
-        if math.isinf(t):
-            return self.mean()
-        u = (math.log(t) - self.log_mean - self.sigma ** 2) / self.sigma
-        return self.mean() * _ncdf(u)
+        # at t = inf, u = inf and the normal cdf is 1
+        t = np.asarray(t, dtype=float)
+        safe = np.where(t > 0, t, 1.0)
+        u = (np.log(safe) - self.log_mean - self.sigma ** 2) / self.sigma
+        return _scalar(np.where(t > 0, self.mean() * _ncdf_array(u), 0.0))
 
     def _closed_form(self, name, c):
         # E X^c = exp(c m + c^2 sigma^2/2): its log has the c-derivatives
@@ -644,20 +617,11 @@ class SinghMaddala(Distribution):
         )
 
     def partial_mean(self, t):
-        if _is_array(t):
-            w = (np.maximum(np.asarray(t, dtype=float), 0.0) / self.b) ** self.a
-            with np.errstate(invalid="ignore"):  # inf/inf at t = inf
-                u = np.where(np.isinf(w), 1.0, w / (1.0 + w))
-            return self.mean() * _special().betainc(
-                1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u)
-        if t <= 0:
-            return 0.0
-        if math.isinf(t):
-            return self.mean()
-        w = (t / self.b) ** self.a
-        u = w / (1.0 + w)
-        frac = float(_special().betainc(1.0 + 1.0 / self.a, self.q - 1.0 / self.a, u))
-        return self.mean() * frac
+        # past w = 1e300, w/(1 + w) is 1: the cap keeps inf/inf out at t = inf
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        w = np.minimum((t / self.b) ** self.a, 1e300)
+        return _scalar(self.mean() * _special().betainc(
+            1.0 + 1.0 / self.a, self.q - 1.0 / self.a, w / (1.0 + w)))
 
     def _closed_form(self, name, c):
         # E X^c = b^c G(1 + c/a) G(q - c/a) / G(q), for -a < c < a q; E log X
@@ -744,13 +708,9 @@ class Uniform(Distribution):
         return 0.5 * (self.lo + self.hi)
 
     def partial_mean(self, t):
-        if _is_array(t):
-            t = np.clip(np.asarray(t, dtype=float), self.lo, self.hi)
-        elif t <= self.lo:
-            return 0.0
-        else:
-            t = min(t, self.hi)
-        return (t * t - self.lo * self.lo) / (2.0 * (self.hi - self.lo))
+        lo, hi = self.lo, self.hi
+        t = np.minimum(np.maximum(np.asarray(t, dtype=float), lo), hi)
+        return _scalar((t * t - lo * lo) / (2.0 * (hi - lo)))
 
     def _closed_form(self, name, c):
         # E log X and E X log X have none here that keeps its precision
@@ -891,7 +851,7 @@ class Empirical(Distribution):
         if prefix is None:
             prefix = np.concatenate([[0.0], np.cumsum(self.values)]) / self.n
             self._cache["prefix"] = prefix
-        return _real(prefix[np.searchsorted(self.values, t, side="right")])
+        return _scalar(prefix[np.searchsorted(self.values, t, side="right")])
 
     def descriptor(self):
         if self.n == 1:
@@ -912,13 +872,12 @@ def Dirac(location: float) -> Empirical:
 class Contaminated(Distribution):
     """Mixture (1-eps)*F + eps*Dirac(z), exact in the atom weight.
 
-    A purely imaginary eps is the complex-step oracle's path: the mean, the
-    atom masses, partial means and moments are then complex, and linear in
-    eps as for a real weight. On that path z may be a 1-D array of points
-    with an array of imaginary steps of the same shape: one mixture per
-    point, and the mean, moments, cdf, masses and partial means (at a
-    scalar t) are arrays over the points. The quantile and the support ends
-    need a real eps in [0, 1] and one point.
+    Either eps is a real weight in [0, 1] and z one point, or z is a 1-D
+    array of points and eps an array of purely imaginary steps of the same
+    shape: the complex-step oracle's grid, one mixture per point, linear in
+    eps as for a real weight. On a grid the mean, moments, cdf, masses and
+    partial means (at a scalar t) are complex arrays over the points; the
+    quantile and the support ends need one point.
     """
 
     base: Distribution
@@ -938,14 +897,12 @@ class Contaminated(Distribution):
                     "a grid of points z >= 0 needs a 1-D array of finite "
                     "imaginary steps of its shape")
             return
-        if isinstance(eps, complex):
-            if not (eps.real == 0.0 and math.isfinite(eps.imag)):
-                raise InvalidParameter(
-                    f"complex epsilon must be finite and imaginary, got {eps}")
-        elif not 0.0 <= eps <= 1.0:
+        if isinstance(eps, complex) or not 0.0 <= eps <= 1.0:
             raise InvalidParameter(f"epsilon must be in [0, 1], got {eps}")
         if not z >= 0.0:
             raise InvalidParameter(f"contamination point must be >= 0, got {z}")
+        object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "z", float(z))
 
     def _one_point(self):
         if _is_array(self.z):
@@ -999,42 +956,35 @@ class Contaminated(Distribution):
         return max(self.base.quantile((p - eps) / w), z)
 
     def mean(self):
-        # uncached: complex on the complex-step path, and one multiply-add
+        # uncached: an array over a grid, and one multiply-add
         return (1.0 - self.epsilon) * self.base.mean() + self.epsilon * self.z
 
     def _expect_impl(self, g):
         return (1.0 - self.epsilon) * self.base.expect(g) \
-            + self.epsilon * _real(g(self.z))
+            + self.epsilon * _scalar(g(self.z))
 
     def expect(self, g, key=None):
         # Delegate caching of the base integral to the base distribution so
         # every eps-view of the same base reuses one quadrature result.
         return (1.0 - self.epsilon) * self.base.expect(g, key=key) \
-            + self.epsilon * _real(g(self.z))
+            + self.epsilon * _scalar(g(self.z))
 
     def mass(self, x):
-        m = (1.0 - self.epsilon) * self.base.mass(x)
-        if _is_array(self.z):
-            return m + self.epsilon * (self.z == x)
-        if x == self.z:
-            m += self.epsilon
-        return m
+        return (1.0 - self.epsilon) * self.base.mass(x) \
+            + self.epsilon * (self.z == x)
 
     def partial_mean(self, t):
-        pm = (1.0 - self.epsilon) * self.base.partial_mean(t)
-        if _is_array(self.z) or _is_array(t):
-            return pm + self.epsilon * self.z * (self.z <= t)
-        if self.z <= t:
-            pm += self.epsilon * self.z
-        return pm
+        # the atom's term is 0, not eps * inf * 0, where z = inf lies above t
+        return _scalar((1.0 - self.epsilon) * self.base.partial_mean(t)
+                       + self.epsilon * np.where(self.z <= t, self.z, 0.0))
 
     def descriptor(self):
         eps, z = self.epsilon, self.z
         if _is_array(z):
             return (f"contaminated({self.base.descriptor()},"
                     f"eps=<{z.size} imaginary steps>,z=<{z.size} points>)")
-        eps = str(eps) if isinstance(eps, complex) else _fmt(eps)
-        return f"contaminated({self.base.descriptor()},eps={eps},z={_fmt(z)})"
+        return (f"contaminated({self.base.descriptor()},"
+                f"eps={_fmt(eps)},z={_fmt(z)})")
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +1033,9 @@ def make_distribution(kind: str, *params: float) -> Distribution:
 
 
 def contaminate(base: Distribution, epsilon: float, z: float) -> Contaminated:
-    """Return the mixture (1-eps)*base + eps*Dirac(z); eps may be purely
-    imaginary (see `Contaminated`)."""
-    return Contaminated(base, _scalar(epsilon), float(z))
+    """Return the mixture (1-eps)*base + eps*Dirac(z), for a real eps in
+    [0, 1]; the oracle's grid is built as a `Contaminated` itself."""
+    return Contaminated(base, epsilon, z)
 
 
 def scaled(F: Distribution, c: float) -> Distribution:

@@ -318,8 +318,8 @@ def _complex_step(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
     leaves the linear regime where h(z) is huge. mu and E h come from T(F)
     itself, so a divergent moment fails every point. A step of 0 or a
     non-finite value is a DomainError at its point. Where the grid's
-    evaluation raises, each point is evaluated alone, as one mixture with
-    a scalar eps, and records its own error.
+    evaluation raises, each point is evaluated alone, as a one-point grid,
+    and records its own error.
     """
     values = np.full(zs.shape, np.nan)
     failures = {}
@@ -337,10 +337,7 @@ def _complex_step(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
         pending = [np.flatnonzero(live)] if live.any() else []
         while pending:
             idx = pending.pop()
-            if idx.size == 1:  # one mixture, with a Python complex eps
-                G = contaminate(F, 1j * float(steps[idx[0]]), zs[idx[0]])
-            else:
-                G = Contaminated(F, 1j * steps[idx], zs[idx])
+            G = Contaminated(F, 1j * steps[idx], zs[idx])
             try:
                 values[idx] = np.imag(T.evaluate(G)) / steps[idx]
             except Exception as exc:  # recorded, not fatal

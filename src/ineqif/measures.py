@@ -1,7 +1,8 @@
 """Inequality measures.
 
-The core family is parameterized by a quadruple (tau, h, h1, h2) with
-analytic derivatives: the index value is tau(E h(X)/h1(mu) - h2(mu)).
+The core family is parameterized by a quadruple (tau, h, h1, h2) with the
+analytic derivatives Theorem 1 reads: the index value is
+tau(E h(X)/h1(mu) - h2(mu)).
 Generalized entropy, Theil, mean logarithmic deviation, Atkinson,
 Champernowne and Kolm are all instances. Gini and the quintile share ratio
 live alongside under a common functional interface so the same numerical
@@ -9,7 +10,6 @@ derivative machinery applies to every measure.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +22,6 @@ from .distributions import (
     Empirical,
     _fmt,
     _is_array,
-    _real,
     _scalar,
 )
 from .errors import (
@@ -67,24 +66,20 @@ def _xlogx(s):
 
 
 def _exp(s):
-    if isinstance(s, np.ndarray):
-        return np.exp(s)
-    return cmath.exp(s) if isinstance(s, complex) else math.exp(s)
+    return np.exp(s) if isinstance(s, np.ndarray) else math.exp(s)
 
 
 def _log(s):
-    if isinstance(s, np.ndarray):
-        return np.log(s)
-    return cmath.log(s) if isinstance(s, complex) else math.log(s)
+    return np.log(s) if isinstance(s, np.ndarray) else math.log(s)
 
 
-# (function, derivative) pairs the quadruples are built from; each function
-# keeps a complex argument complex, and an array an array, for the
-# complex-step oracle. h needs no derivative: Theorem 1 reads only tau', h1'
-# and h2'. Each h1 also comes with its ratio h1'/h1, which Theorem 1 reads
-# in place of h1' (`h1_ratio`).
+# (function, derivative) pairs of tau and h2, which the quadruples are built
+# from; each function keeps an array an array (a complex one on the
+# complex-step oracle's grid). h and h1 need no derivative: Theorem 1 reads
+# tau', h2' and, in place of h1', the ratio h1'/h1 (`h1_ratio`), finite
+# where h1' or h1 alone leaves the float range.
 _ZERO = (lambda s: 0.0, lambda s: 0.0)
-_ONE = (lambda s: 1.0, lambda s: 0.0)
+_ONE = lambda s: 1.0
 _ONE_RATIO = lambda s: 0.0
 _IDENTITY = (lambda s: s, lambda s: 1.0)
 _IDENTITY_RATIO = lambda s: 1.0 / s
@@ -93,8 +88,7 @@ _NEG_LOG = (lambda s: -np.log(s), lambda s: -1.0 / s)
 
 
 def _power(a: float):
-    return (lambda s: np.asarray(s) ** a,
-            lambda s: a * np.asarray(s) ** (a - 1.0))
+    return lambda s: np.asarray(s) ** a
 
 
 def _power_ratio(a: float):
@@ -102,13 +96,13 @@ def _power_ratio(a: float):
 
 
 def _exp_neg(a: float):
-    return (lambda s: np.exp(-a * np.asarray(s)),
-            lambda s: -a * np.exp(-a * np.asarray(s)))
+    return lambda s: np.exp(-a * np.asarray(s))
 
 
 @dataclass(frozen=True)
 class TheilLikeSpec:
-    """One family member: the quadruple, its derivatives, and metadata.
+    """One family member: the quadruple, the derivatives Theorem 1 reads,
+    and metadata.
 
     The callables accept scalars or numpy arrays. `h1_ratio` is
     h1'(s)/h1(s), finite where h1' or h1 alone leaves the float range.
@@ -122,7 +116,6 @@ class TheilLikeSpec:
     tau_prime: Callable
     h: Callable
     h1: Callable
-    h1_prime: Callable
     h1_ratio: Callable
     h2: Callable
     h2_prime: Callable
@@ -137,12 +130,12 @@ _PARAM_FREE = {"theil", "mld", "champernowne"}
 def _member(family: str, prefix: str, param: Optional[float], tau, h, h1,
             h1_ratio, h2, requires_positive: bool,
             h_key: str) -> TheilLikeSpec:
-    """A spec from h, the (function, derivative) pairs of tau, h1, h2 and
-    the ratio h1'/h1."""
+    """A spec from h, h1, the ratio h1'/h1 and the (function, derivative)
+    pairs of tau and h2."""
     return TheilLikeSpec(
         family=family, param=param,
         tau=tau[0], tau_prime=tau[1], h=h,
-        h1=h1[0], h1_prime=h1[1], h1_ratio=h1_ratio,
+        h1=h1, h1_ratio=h1_ratio,
         h2=h2[0], h2_prime=h2[1],
         requires_positive=requires_positive, h_key=h_key,
         measure_id=prefix if param is None else f"{prefix}:{_fmt(param)}",
@@ -176,12 +169,12 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         c = a * (a - 1.0)
         return _member("generalized_entropy", "ge", a,
                        (lambda s: (s - 1.0) / c, lambda s: 1.0 / c),
-                       _power(a)[0], _power(a), _power_ratio(a), _ZERO,
+                       _power(a), _power(a), _power_ratio(a), _ZERO,
                        a < 0, f"pow:{a!r}")
 
     if family == "theil":
-        return _member("theil", "theil", None, _IDENTITY, _xlogx, _IDENTITY,
-                       _IDENTITY_RATIO, _LOG, False, "xlogx")
+        return _member("theil", "theil", None, _IDENTITY, _xlogx,
+                       _IDENTITY[0], _IDENTITY_RATIO, _LOG, False, "xlogx")
 
     if family == "mld":
         return _member("mld", "mld", None, _IDENTITY, _NEG_LOG[0], _ONE,
@@ -195,7 +188,7 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
         return _member("atkinson", "atkinson", a,
                        (lambda s: 1.0 - s ** (1.0 / a),
                         lambda s: -(1.0 / a) * s ** (1.0 / a - 1.0)),
-                       _power(a)[0], _power(a), _power_ratio(a), _ZERO,
+                       _power(a), _power(a), _power_ratio(a), _ZERO,
                        a < 0, f"pow:{a!r}")
 
     if family == "champernowne":
@@ -208,7 +201,7 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
             raise InvalidParameter(f"kolm requires alpha > 0, got {a}")
         return _member("kolm", "kolm", a,
                        (lambda s: _log(s) / a, lambda s: 1.0 / (a * s)),
-                       _exp_neg(a)[0], _exp_neg(a), lambda s: -a, _ZERO,
+                       _exp_neg(a), _exp_neg(a), lambda s: -a, _ZERO,
                        False, f"expneg:{a!r}")
 
     raise InvalidParameter(f"unknown family {family!r}")
@@ -232,15 +225,14 @@ def _degenerate(v) -> bool:
     """Whether v, or an element of an array v, is 0 or not finite."""
     if _is_array(v):
         return not (np.isfinite(v) & (v != 0.0)).all()
-    return v == 0.0 or not cmath.isfinite(v)
+    return v == 0.0 or not math.isfinite(v)
 
 
 @dataclass(frozen=True)
 class FunctionalValue:
     """T(F) together with the intermediates the influence formulas reuse:
-    Python floats, or complex on a contaminated model with an imaginary
-    eps (the complex-step oracle's path), and complex arrays over the
-    points of a contaminated grid."""
+    Python floats, or complex arrays over the points of a contaminated grid
+    (the complex-step oracle's path)."""
 
     value: float
     index_arg: float  # the inner argument I = E h(X)/h1(mu) - h2(mu)
@@ -262,9 +254,9 @@ def _checked_h1(spec: TheilLikeSpec, mu):
 def functional_value(spec: TheilLikeSpec, F: Distribution) -> FunctionalValue:
     """Evaluate T(F) = tau(E h(X)/h1(mu) - h2(mu)).
 
-    A complex eps in F stays in every intermediate, so T is evaluated along
-    the complex path as it is along the real one, and at every point of a
-    contaminated grid at once."""
+    On a contaminated grid the imaginary steps stay in every intermediate,
+    so T is evaluated along the complex path as it is along the real one,
+    at every point of the grid at once."""
     if spec.requires_positive and np.count_nonzero(F.mass(0.0)):
         raise DomainError(
             f"{spec.measure_id} is undefined at income 0 (h uses log or a "
@@ -301,7 +293,7 @@ def _gini_first_moment(F: Distribution) -> float:
     if isinstance(F, Contaminated):
         eps, z, base = F.epsilon, F.z, F.base
         s_base = _gini_first_moment(base)
-        cross = base.mean() - base.partial_mean(z) + z * _real(base.cdf(z))
+        cross = base.mean() - base.partial_mean(z) + z * _scalar(base.cdf(z))
         return ((1.0 - eps) ** 2 * s_base + eps * (1.0 - eps) * cross
                 + 0.5 * eps * eps * z)
     if isinstance(F, Empirical):
@@ -333,20 +325,19 @@ def qsr_components(F: Distribution):
     ratio and its IF divide by it."""
     q1 = F.quantile(0.2)
     q4 = F.quantile(0.8)
-    d = F.partial_mean(q1)
+    d, below_q4 = F.partial_mean(np.array([q1, q4])).tolist()
     if d <= 0.0:
         raise DegenerateDenominator(
             f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
         )
-    n = F.mean() - F.partial_mean(q4)
-    return n, d, q1, q4
+    return F.mean() - below_q4, d, q1, q4
 
 
 def qsr(F: Distribution) -> float:
     """Quintile share ratio N(F)/D(F).
 
-    On a contaminated model with an imaginary eps (the complex-step
-    oracle's path) the shares are the Lorenz shares with the quintiles
+    On a contaminated grid (the complex-step oracle's path, where eps is
+    imaginary) the shares are the Lorenz shares with the quintiles
     frozen at the base's q1 = Q(0.2) and q4 = Q(0.8):
       D = E[X 1{X <= q1}] + q1 (0.2 - G(q1))
       N = mu - E[X 1{X <= q4}] - q4 (0.8 - G(q4))
@@ -357,8 +348,7 @@ def qsr(F: Distribution) -> float:
     atom at q1 or q4, that is the derivative of the ratio below, which
     counts an atom at a quintile in full.
     """
-    if isinstance(F, Contaminated) and isinstance(F.epsilon,
-                                                  (complex, np.ndarray)):
+    if isinstance(F, Contaminated) and isinstance(F.epsilon, np.ndarray):
         _, _, q1, q4 = qsr_components(F.base)
         d = F.partial_mean(q1) + q1 * (0.2 - F.cdf(q1))
         n = F.mean() - F.partial_mean(q4) - q4 * (0.8 - F.cdf(q4))

@@ -698,6 +698,33 @@ class TestVerifyCommand:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["verdict"] for r in rows] == ["PASS", "PASS"]
 
+    @pytest.mark.parametrize("spec", ["exp:2e-05", "pareto:3,33333.3",
+                                      "lognormal:10.7,0.5", "sm:2,84900,3",
+                                      "uniform:0,100000"])
+    def test_dollar_scale_verdicts(self, spec, capsys):
+        # mu ~ 5e4: a printed row passes exactly where its algebra is the
+        # normative one. Kolm's h1(mu) = e^{-mu} underflows to 0 there, so
+        # both its rows are skipped until the Kolm lever is read at unit
+        # scale.
+        rc, payload = _json_run(["verify", "--ids", "all", "--dist", spec],
+                                capsys)
+        assert rc == 0
+        for r in payload["rows"]:
+            if r["measure_id"] == "kolm:1":
+                assert r["verdict"] == "SKIP"
+                assert r["note"].startswith("h1(mu)=0.0 ")
+            elif r["normative"]:
+                assert (r["formula_source"], r["verdict"]) == (
+                    "theorem1", "PASS"), r
+            else:
+                variant = {v.source: v for v in printed_variants(
+                    r["measure_id"])}[r["formula_source"]]
+                want = "PASS" if variant.matches_normative else "FAIL"
+                assert r["verdict"] == want, r
+        assert sum(r["measure_id"] == "kolm:1" for r in payload["rows"]) == 2
+        assert [r["measure_id"] for r in payload["rows"]
+                if r["normative"]] == list(DEFAULT_MEASURE_IDS)
+
     def test_normative_failure_exits_three(self, monkeypatch, capsys):
         broken = lambda T, F, z: 1e6
         monkeypatch.setattr(cli, "if_special", broken)

@@ -100,21 +100,37 @@ class TestContamination:
             contaminate(F, eps, 1.0)
 
     def test_imaginary_epsilon_is_linear(self):
-        # the complex-step oracle's path: every mixture quantity keeps eps
+        # the complex-step oracle's path, a one-point grid: every mixture
+        # quantity is (1 - eps) (base quantity) + eps (atom term)
         F = make_distribution("exp", 1.0)
-        C = contaminate(F, 1e-3j, 5.0)
-        assert C.epsilon == 1e-3j
-        assert C.mean() == (1 - 1e-3j) * 1.0 + 1e-3j * 5.0
+        eps, z = 1e-3j, 5.0
+        C = Contaminated(F, np.array([eps]), np.array([z]))
         g = lambda x: np.sqrt(x)
-        assert C.expect(g) == (1 - 1e-3j) * F.expect(g) + 1e-3j * math.sqrt(5.0)
-        assert C.mass(5.0) == 1e-3j
-        assert C.descriptor() == "contaminated(exp:1,eps=0.001j,z=5)"
+        for got, want in [
+                (C.mean(), (1 - eps) * F.mean() + eps * z),
+                (C.expect(g), (1 - eps) * F.expect(g) + eps * math.sqrt(z)),
+                (C.mass(5.0), (1 - eps) * F.mass(5.0) + eps),
+                (C.partial_mean(6.0),
+                 (1 - eps) * F.partial_mean(6.0) + eps * z)]:
+            assert got.shape == (1,)
+            np.testing.assert_allclose(got, [want], rtol=1e-15, atol=0.0)
+        assert C.descriptor() == (
+            "contaminated(exp:1,eps=<1 imaginary steps>,z=<1 points>)")
 
     @pytest.mark.parametrize("eps", [0.5 + 1e-3j, complex(0.0, math.inf),
                                      complex(0.0, math.nan)])
     def test_complex_epsilon_must_be_imaginary_and_finite(self, eps):
-        with pytest.raises(InvalidParameter, match="complex epsilon"):
-            contaminate(make_distribution("exp", 1.0), eps, 1.0)
+        with pytest.raises(InvalidParameter, match="grid of points"):
+            Contaminated(make_distribution("exp", 1.0), np.array([eps]),
+                         np.array([1.0]))
+
+    @pytest.mark.parametrize("eps", [1e-3j, 0.5 + 1e-3j, np.complex128(1e-3j)])
+    def test_complex_scalar_epsilon_is_rejected(self, eps):
+        # an imaginary step needs a grid of points, even of one point
+        F = make_distribution("exp", 1.0)
+        for build in (contaminate, Contaminated):
+            with pytest.raises(InvalidParameter, match=r"epsilon must be in"):
+                build(F, eps, 1.0)
 
 
 class TestExpect:
@@ -401,6 +417,15 @@ class TestArrayPartialMean:
         np.testing.assert_allclose(F.partial_mean(ts), want, rtol=1e-13,
                                    atol=0.0)
 
+    @pytest.mark.parametrize("name", list(_EVERY_KIND))
+    def test_float_level_and_support_ends(self, name):
+        # a float t gives a Python float; below the support nothing, above
+        # it exactly the mean
+        F = _EVERY_KIND[name]
+        assert type(F.partial_mean(float(F.quantile(0.5)))) is float
+        assert F.partial_mean(-1.0) == 0.0
+        assert F.partial_mean(math.inf) == F.mean()
+
     def test_lognormal_loads_no_scipy_function(self, monkeypatch):
         monkeypatch.setattr(distributions, "_special", None)  # not called
         F = make_distribution("lognormal", 0.0, 0.5)
@@ -420,19 +445,31 @@ class TestContaminatedGrid:
         F = (Empirical.from_values([0.5, 1.0, 1.0, 4.0]) if spec == "empirical"
              else parse_distribution(spec))
         G = Contaminated(F, self.EPS, self.ZS)
-        points = [contaminate(F, complex(e), z)
-                  for e, z in zip(self.EPS, self.ZS)]
+        points = [Contaminated(F, self.EPS[i:i + 1], self.ZS[i:i + 1])
+                  for i in range(self.ZS.size)]
         g = lambda x: np.sqrt(x)
-        quantities = [lambda C: C.mean(), lambda C: C.expect(g),
-                      lambda C: C.expect(g, key="sqrt"), lambda C: C.cdf(1.0),
-                      lambda C: C.mass(1.0), lambda C: C.mass(0.7),
-                      lambda C: C.partial_mean(1.0),
-                      lambda C: C.partial_mean(0.2)]
-        for quantity in quantities:
+        # (quantity, its value on the base, its atom term at z)
+        quantities = [
+            (lambda C: C.mean(), F.mean(), lambda z: z),
+            (lambda C: C.expect(g), F.expect(g), math.sqrt),
+            (lambda C: C.expect(g, key="sqrt"), F.expect(g, key="sqrt"),
+             math.sqrt),
+            (lambda C: C.cdf(1.0), float(F.cdf(1.0)), lambda z: z <= 1.0),
+            (lambda C: C.mass(1.0), float(F.mass(1.0)), lambda z: z == 1.0),
+            (lambda C: C.mass(0.7), float(F.mass(0.7)), lambda z: z == 0.7),
+            (lambda C: C.partial_mean(1.0), F.partial_mean(1.0),
+             lambda z: z * (z <= 1.0)),
+            (lambda C: C.partial_mean(0.2), F.partial_mean(0.2),
+             lambda z: z * (z <= 0.2)),
+        ]
+        for quantity, base, atom in quantities:
+            want = [(1.0 - e) * base + e * atom(z)
+                    for e, z in zip(self.EPS.tolist(), self.ZS.tolist())]
             got = quantity(G)
             assert got.shape == self.ZS.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-300)
             np.testing.assert_allclose(
-                got, [complex(quantity(C)) for C in points],
+                np.concatenate([quantity(C) for C in points]), want,
                 rtol=1e-15, atol=1e-300)
 
     def test_quantile_and_support_ends_need_one_point(self):
@@ -446,6 +483,7 @@ class TestContaminatedGrid:
         (np.array([1e-3j, 2e-3j]), np.array([1.0, 2.0, 3.0])),  # shapes
         (np.array([1e-3j, 1.0 + 2e-3j]), np.array([1.0, 2.0])),  # not imaginary
         (np.array([1e-3j, complex(0.0, math.inf)]), np.array([1.0, 2.0])),
+        (np.array([1e-3j, complex(0.0, math.nan)]), np.array([1.0, 2.0])),
         (np.array([1e-3j, 2e-3j]), np.array([1.0, -2.0])),  # z < 0
         (1e-3j, np.array([1.0, 2.0])),  # one step for many points
     ])

@@ -34,19 +34,22 @@ class TestSpecs:
         spec = make_spec("generalized_entropy", 2.0)
         assert spec.tau(3.0) == pytest.approx(1.0)  # (s-1)/2
         assert float(spec.h(4.0)) == pytest.approx(16.0)
-        assert float(spec.h1_prime(2.0)) == pytest.approx(4.0)
+        assert spec.h1_ratio(2.0) == pytest.approx(1.0)  # h1'/h1 = 2/s
         assert spec.h2(5.0) == 0.0
 
     def test_mld_derivatives(self):
         spec = make_spec("mld")
         assert spec.tau_prime(0.3) == 1.0
-        assert spec.h1_prime(2.0) == 0.0
+        assert spec.h1_ratio(2.0) == 0.0
 
     @pytest.mark.parametrize("mid", ALL_FAMILY_IDS + ("ge:-1", "atkinson:-0.5"))
     @pytest.mark.parametrize("name", ["tau", "h1", "h2"])
     def test_derivatives_match_central_differences(self, mid, name):
+        # h1 declares its derivative as the ratio h1'/h1
         spec = parse_measure_id(mid).spec
-        f, df = getattr(spec, name), getattr(spec, name + "_prime")
+        f = getattr(spec, name)
+        df = (lambda s: spec.h1_ratio(s) * f(s)) if name == "h1" else \
+            getattr(spec, name + "_prime")
         for s in (0.5, 1.3, 2.7):
             step = 1e-6 * s
             central = (float(f(s + step)) - float(f(s - step))) / (2.0 * step)
