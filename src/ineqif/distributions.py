@@ -776,6 +776,13 @@ class Empirical(Distribution):
     statistic at index ceil(n*p). This is also the validated sample type:
     `from_values` sorts raw incomes, and drawn or ingested samples are
     Empirical. With one observation it is the point mass `Dirac(x)`.
+
+    `values` may also be 2-D: a block of equal-size samples, one sorted
+    sample per row, as a contaminated grid holds one mixture per point.
+    Every check runs per row. The mean, moments, atom masses, the quantile
+    at one level and partial means are then arrays with one value per row;
+    a partial mean reads one t per row along the last axis of t. The cdf,
+    quantile arrays, insertion, mid-cdf and Lorenz curve need one sample.
     """
 
     values: np.ndarray
@@ -784,20 +791,20 @@ class Empirical(Distribution):
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
+        if vals.ndim not in (1, 2) or vals.size < 1:
             raise InvalidParameter("empirical distribution needs n >= 1 observations")
-        if (vals[1:] < vals[:-1]).any():
+        if (vals[..., 1:] < vals[..., :-1]).any():
             raise InvalidParameter("empirical observations must be sorted")
-        # sorted, so the ends bound the values; the mean is NaN iff one is
-        if vals[0] < 0:
+        # sorted, so a row's ends bound its values; its mean is NaN iff one is
+        if (vals[..., 0] < 0).any():
             raise InvalidParameter("empirical observations must be non-negative")
-        mean = float(vals.mean())
-        if math.isnan(mean) or vals[-1] == math.inf:
+        mean = vals.mean(axis=-1)
+        if np.isnan(mean).any() or (vals[..., -1] == math.inf).any():
             raise InvalidParameter("empirical observations must be finite")
-        if not mean > 0:
+        if not (mean > 0).all():
             raise InvalidParameter("empirical mean must be positive")
         object.__setattr__(self, "values", vals)
-        self._cache["mean"] = mean
+        self._cache["mean"] = _scalar(mean)
 
     @classmethod
     def from_values(cls, values) -> "Empirical":
@@ -805,10 +812,27 @@ class Empirical(Distribution):
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
+
+    def _one_sample(self):
+        if self.values.ndim > 1:
+            raise InvalidParameter(
+                "the cdf, quantile arrays, mid-cdf, insertion and Lorenz "
+                "curve need one sample, not a block of samples")
+
+    def _rank(self, t, side="right"):
+        """`searchsorted` per sample: the number of observations <= t (< t
+        for side 'left'); on a block, t runs over the rows along its last
+        axis."""
+        if self.values.ndim == 1:
+            return np.searchsorted(self.values, t, side=side)
+        t = np.expand_dims(t, -1)
+        below = self.values <= t if side == "right" else self.values < t
+        return np.count_nonzero(below, axis=-1)
 
     def with_inserted(self, z: float) -> "Empirical":
         """The sample with one more observation z, kept sorted."""
+        self._one_sample()
         z = float(z)
         if z < 0:
             raise InvalidParameter(f"inserted observation must be >= 0, got {z}")
@@ -816,44 +840,53 @@ class Empirical(Distribution):
         return Empirical(np.insert(self.values, idx, z))
 
     def cdf(self, x):
+        self._one_sample()
         x = np.asarray(x, dtype=float)
         return np.searchsorted(self.values, x, side="right") / self.n
 
     def quantile(self, p):
         k = int(math.ceil(self.n * _check_prob(p) - 1e-9))
-        return float(self.values[min(max(k, 1), self.n) - 1])
+        return _scalar(self.values[..., min(max(k, 1), self.n) - 1])
 
     def quantile_array(self, ps):
+        self._one_sample()
         ps = np.asarray(ps, dtype=float)
         k = np.ceil(self.n * ps - 1e-9).astype(int).clip(1, self.n)
         return self.values[k - 1]
 
-    def _mean(self):
-        return float(self.values.mean())
-
     def _expect_impl(self, g):
-        return float(_make_evaluator(g)(self.values).mean())
+        return _scalar(_make_evaluator(g)(self.values).mean(axis=-1))
 
     def mass(self, x):
-        lo = np.searchsorted(self.values, x, side="left")
-        hi = np.searchsorted(self.values, x, side="right")
-        return (hi - lo) / self.n
+        return (self._rank(x) - self._rank(x, side="left")) / self.n
 
     def mid_cdf_array(self, xs) -> np.ndarray:
         """(F(x-) + F(x))/2 per element: the mid-distribution function."""
+        self._one_sample()
         xs = np.asarray(xs, dtype=float)
         lo = np.searchsorted(self.values, xs, side="left")
         hi = np.searchsorted(self.values, xs, side="right")
         return (lo + hi) / (2.0 * self.n)
 
+    def lorenz(self, p):
+        self._one_sample()
+        return super().lorenz(p)
+
     def partial_mean(self, t):
         prefix = self._cache.get("prefix")
         if prefix is None:
-            prefix = np.concatenate([[0.0], np.cumsum(self.values)]) / self.n
+            v = self.values
+            prefix = np.concatenate((np.zeros(v.shape[:-1] + (1,)),
+                                     np.cumsum(v, axis=-1)), axis=-1) / self.n
             self._cache["prefix"] = prefix
-        return _scalar(prefix[np.searchsorted(self.values, t, side="right")])
+        k = self._rank(t)
+        if prefix.ndim == 1:
+            return _scalar(prefix[k])
+        return prefix[np.arange(len(prefix)), k]
 
     def descriptor(self):
+        if self.values.ndim > 1:
+            return f"empirical:n={self.n},samples={len(self.values)}"
         if self.n == 1:
             return f"dirac:{_fmt(self.values[0])}"
         return f"empirical:n={self.n}"

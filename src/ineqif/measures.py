@@ -59,9 +59,12 @@ DEFAULT_MEASURE_IDS = (
 
 
 def _xlogx(s):
+    # s log s where s > 0, else 0, in place: besides the result only a
+    # boolean mask is allocated (a 1e6-row sample's Theil sets peak memory)
     s = np.asarray(s, dtype=float)
-    safe = np.where(s > 0, s, 1.0)
-    out = np.where(s > 0, s * np.log(safe), 0.0)
+    pos = s > 0
+    out = np.log(s, out=np.zeros_like(s), where=pos)
+    np.multiply(out, s, out=out, where=pos)
     return out if out.ndim else float(out)
 
 
@@ -231,8 +234,9 @@ def _degenerate(v) -> bool:
 @dataclass(frozen=True)
 class FunctionalValue:
     """T(F) together with the intermediates the influence formulas reuse:
-    Python floats, or complex arrays over the points of a contaminated grid
-    (the complex-step oracle's path)."""
+    Python floats, complex arrays over the points of a contaminated grid
+    (the complex-step oracle's path), or arrays over the rows of a block of
+    samples (the Monte Carlo study's path)."""
 
     value: float
     index_arg: float  # the inner argument I = E h(X)/h1(mu) - h2(mu)
@@ -299,7 +303,7 @@ def _gini_first_moment(F: Distribution) -> float:
     if isinstance(F, Empirical):
         # on sorted data sum_i x_(i) Fmid(x_(i)) = sum_i x_(i) (i - 1/2)/n,
         # ties included: a tie block shares the mean of its ranks
-        return float(np.dot(F.values, np.arange(0.5, F.n))) / F.n ** 2
+        return _scalar(F.values @ np.arange(0.5, F.n)) / F.n ** 2
     return F.expect(lambda x: np.asarray(x, dtype=float) * F.cdf(x),
                     key="gini_first_moment")
 
@@ -321,12 +325,15 @@ def gini(F: Distribution) -> float:
 
 def qsr_components(F: Distribution):
     """(N, D, Q(0.2), Q(0.8)): top-quintile mass E[X 1{X > Q(0.8)}] and
-    bottom-quintile mass E[X 1{X <= Q(0.2)}]; D <= 0 raises, as both the
-    ratio and its IF divide by it."""
+    bottom-quintile mass E[X 1{X <= Q(0.2)}], arrays over the rows of a
+    block of samples; D <= 0 raises, as both the ratio and its IF divide
+    by it."""
     q1 = F.quantile(0.2)
     q4 = F.quantile(0.8)
-    d, below_q4 = F.partial_mean(np.array([q1, q4])).tolist()
-    if d <= 0.0:
+    # floats on one sample (numpy scalars would cost the plain path time)
+    parts = F.partial_mean(np.array([q1, q4]))
+    d, below_q4 = parts if _is_array(q1) else parts.tolist()
+    if (d <= 0.0).any() if _is_array(d) else d <= 0.0:
         raise DegenerateDenominator(
             f"bottom-quintile income mass is {d!r} on {F.descriptor()}"
         )

@@ -91,7 +91,8 @@ _EPS = sys.float_info.epsilon
 
 
 def _make_evaluator(g: Callable[[float], float]):
-    """Wrap g so it maps a node array to a float array.
+    """Wrap g so it maps a node array, of any shape, to a float array of
+    that shape.
 
     Tries a single vectorised call first and falls back to a scalar loop for
     callables that cannot handle numpy arrays.
@@ -108,7 +109,8 @@ def _make_evaluator(g: Callable[[float], float]):
             except (TypeError, AttributeError):
                 pass
             state["vectorized"] = False
-        return np.array([float(g(x)) for x in xs], dtype=float)
+        return np.array([float(g(x)) for x in xs.ravel()],
+                        dtype=float).reshape(xs.shape)
 
     return evaluate
 

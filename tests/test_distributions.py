@@ -13,7 +13,12 @@ from ineqif import (
     scaled,
     translated,
 )
-from ineqif import distributions, parse_measure_id, printed_variants
+from ineqif import (
+    DEFAULT_MEASURE_IDS,
+    distributions,
+    parse_measure_id,
+    printed_variants,
+)
 from ineqif.cli import parse_distribution
 from ineqif.distributions import Contaminated, _ncdf
 from ineqif.errors import InvalidParameter
@@ -609,6 +614,78 @@ class TestEmpirical:
         with pytest.raises(InvalidParameter,
                            match="empirical observations must be finite"):
             build([1.0, bad, 2.0])
+
+
+def _block():
+    """Four sorted samples of 50, one with a tie run and one with zeros."""
+    block = np.sort(np.random.default_rng(5).exponential(size=(4, 50)), axis=1)
+    block[1, 10:20] = block[1, 10]
+    block[2, :3] = 0.0
+    return block
+
+
+class TestEmpiricalBlock:
+    """A 2-D Empirical holds one sample per row and answers per row exactly
+    as the 1-D Empirical of that row does."""
+
+    def test_per_row_values_equal_the_rows(self):
+        from ineqif.measures import _xlogx
+        block = _block()
+        E = Empirical(block)
+        assert E.n == 50
+        t = np.stack([block[:, 10], block[:, 30] + 0.01])
+        g_pow = parse_measure_id("ge:2").spec.h
+        for i, row in enumerate(block):
+            R = Empirical(row)
+            assert E.mean()[i] == R.mean()
+            assert E.expect(g_pow, key="pow:2.0")[i] == R.expect(g_pow, key="pow:2.0")
+            assert E.expect(_xlogx, key="xlogx")[i] == R.expect(_xlogx, key="xlogx")
+            with np.errstate(divide="ignore"):
+                assert E.expect(np.log)[i] == R.expect(np.log)
+            assert E.mass(0.0)[i] == R.mass(0.0)
+            assert E.quantile(0.2)[i] == R.quantile(0.2)
+            assert E.partial_mean(block[i, 25])[i] == R.partial_mean(block[i, 25])
+            assert np.array_equal(E.partial_mean(t)[:, i], R.partial_mean(t[:, i]))
+        assert E.mass(0.0)[2] == 3 / 50 and E.mass(block[1, 10])[1] == 10 / 50
+        assert E.descriptor() == "empirical:n=50,samples=4"
+
+    def test_scalar_only_integrand_is_taken_per_row(self):
+        # math.log1p refuses arrays: the evaluator falls back per element
+        block = _block()
+        got = Empirical(block).expect(math.log1p)
+        assert got.tolist() == [Empirical(row).expect(math.log1p)
+                                for row in block]
+
+    @pytest.mark.parametrize("bad,match", [
+        ([3.0, 2.0, 4.0], "sorted"),
+        ([-1.0, 2.0, 4.0], "non-negative"),
+        ([1.0, 2.0, math.nan], "finite"),
+        ([1.0, 2.0, math.inf], "finite"),
+        ([0.0, 0.0, 0.0], "mean must be positive"),
+    ])
+    def test_each_row_is_checked(self, bad, match):
+        with pytest.raises(InvalidParameter, match=match):
+            Empirical(np.array([[1.0, 2.0, 3.0], bad]))
+
+    @pytest.mark.parametrize("call", [
+        lambda E: E.cdf(1.0),
+        lambda E: E.quantile_array([0.5]),
+        lambda E: E.with_inserted(1.0),
+        lambda E: E.mid_cdf_array([1.0]),
+        lambda E: E.lorenz(0.5),
+    ], ids=["cdf", "quantile_array", "with_inserted", "mid_cdf_array",
+            "lorenz"])
+    def test_single_sample_methods_refuse_a_block(self, call):
+        with pytest.raises(InvalidParameter, match="block of samples"):
+            call(Empirical(_block()))
+
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    def test_measure_on_a_block_is_the_measure_per_row(self, mid):
+        block = _block()[[0, 1, 3]]  # no zero: MLD and Champernowne need > 0
+        T = parse_measure_id(mid)
+        per_row = [T.evaluate(Empirical(row)) for row in block]
+        np.testing.assert_allclose(T.evaluate(Empirical(block)), per_row,
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestTransforms:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from ineqif import (
+    DEFAULT_MEASURE_IDS,
     Dirac,
     Empirical,
+    MCReport,
+    MeasureFunctional,
     RngStream,
+    asymptotic_variance,
     draw_sample,
     if_special,
     make_distribution,
@@ -15,7 +19,8 @@ from ineqif import (
     parse_measure_id,
     sensitivity_curve,
 )
-from ineqif.errors import InvalidParameter
+from ineqif.cli import parse_distribution
+from ineqif.errors import DegenerateDenominator, DomainError, InvalidParameter
 
 
 class TestDrawSample:
@@ -113,3 +118,110 @@ class TestMcVarianceStudy:
         with pytest.raises(InvalidParameter):
             mc_variance_study(mean_functional(), make_distribution("exp", 1.0),
                               100, 1, RngStream(0))
+
+
+def _reference_study(T, F, n, reps, rng):
+    """The study's definition, one replica at a time: replica r is
+    `draw_sample` on stream r + 1, and a DomainError redraws it on the next
+    stream past the first reps + 1."""
+    t0 = T.evaluate(F)
+    if_var = asymptotic_variance(T, F)
+    values = []
+    rejections = 0
+    extra = reps
+    for r in range(reps):
+        offset = r + 1
+        while True:
+            sample = draw_sample(F, n, rng.substream(offset))
+            try:
+                values.append(T.evaluate(sample))
+                break
+            except DomainError:
+                rejections += 1
+                extra += 1
+                offset = extra
+    dev = math.sqrt(n) * (np.array(values) - t0)
+    mc_var = float(((dev - dev.mean()) ** 2).sum() / (reps - 1))
+    degenerate = not (if_var > 1e-10)
+    return MCReport(measure_id=T.id, distribution=F.descriptor(), n=n,
+                    reps=reps, mc_variance=mc_var, if_variance=if_var,
+                    ratio=math.nan if degenerate else mc_var / if_var,
+                    seed=rng.seed, stream_id=rng.stream_id,
+                    rejections=rejections, degenerate=degenerate)
+
+
+def _assert_same_report(got, want):
+    for name, value in want.to_dict().items():
+        if isinstance(value, float):
+            assert getattr(got, name) == pytest.approx(value, rel=1e-12,
+                                                       abs=0.0), name
+        else:
+            assert got.to_dict()[name] == value, name
+
+
+def _mean_below(threshold, error=DomainError):
+    """The mean, raising `error` on every sample (row of a block) whose
+    maximum exceeds `threshold`."""
+    def fn(F):
+        if isinstance(F, Empirical) and (F.values[..., -1] > threshold).any():
+            raise error(f"an observation above {threshold} on {F.descriptor()}")
+        return F.mean()
+    return MeasureFunctional(id="mean", kind="custom", fn=fn)
+
+
+class TestStudyInBlocks:
+    """The study in blocks of samples equals its per-replica definition."""
+
+    @pytest.mark.parametrize("dist", ["exp:1", "lognormal:0,0.5", "sm:3,1,3",
+                                      "uniform:0.2,1.4"])
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    def test_partial_last_block(self, mid, dist):
+        T, F = parse_measure_id(mid), parse_distribution(dist)
+        rng = RngStream(2018, 4)
+        _assert_same_report(mc_variance_study(T, F, 1000, 23, rng),
+                            _reference_study(T, F, 1000, 23, rng))
+
+    def test_one_sample_per_block(self):
+        T, F = parse_measure_id("theil"), parse_distribution("lognormal:0,0.5")
+        _assert_same_report(mc_variance_study(T, F, 20000, 3, RngStream(9)),
+                            _reference_study(T, F, 20000, 3, RngStream(9)))
+
+    def test_rejections_redraw_on_the_same_streams(self):
+        T, F = _mean_below(8.0), parse_distribution("exp:1")
+        got = mc_variance_study(T, F, 1000, 23, RngStream(3))
+        want = _reference_study(T, F, 1000, 23, RngStream(3))
+        assert want.rejections > 0
+        _assert_same_report(got, want)
+
+    def test_other_errors_propagate_from_their_row(self):
+        # replica 9, the last row of the first block, is the first above 8:
+        # the error is its own, not the block's (`samples=10`)
+        T = _mean_below(8.0, DegenerateDenominator)
+        F = parse_distribution("exp:1")
+        with pytest.raises(DegenerateDenominator,
+                           match=r"^an observation above 8.0 on "
+                                 r"empirical:n=1000$"):
+            mc_variance_study(T, F, 1000, 23, RngStream(3))
+
+    @pytest.mark.parametrize("dist", ["exp:1", "lognormal:0,0.5", "sm:3,1,3",
+                                      "uniform:0.2,1.4", "pareto:4,1"])
+    def test_one_evaluation_per_block_of_drawn_samples(self, dist,
+                                                       monkeypatch):
+        # each row is bit for bit the sample draw_sample draws on its stream
+        evaluate = MeasureFunctional.evaluate
+        blocks = []
+
+        def spy(T, F):
+            if isinstance(F, Empirical):
+                blocks.append(F.values)
+            return evaluate(T, F)
+
+        monkeypatch.setattr(MeasureFunctional, "evaluate", spy)
+        F, rng = parse_distribution(dist), RngStream(1, 7)
+        report = mc_variance_study(parse_measure_id("gini"), F, 1000, 23, rng)
+        assert report.rejections == 0
+        assert [b.shape for b in blocks] == [(10, 1000), (10, 1000), (3, 1000)]
+        rows = np.concatenate(blocks)
+        for r, row in enumerate(rows):
+            drawn = draw_sample(F, 1000, rng.substream(r + 1)).values
+            assert row.tobytes() == drawn.tobytes()

@@ -23,7 +23,7 @@ from ineqif import (
 )
 from ineqif.cli import parse_distribution
 from ineqif.errors import DegenerateDenominator, DomainError, InvalidParameter, MomentDiverges
-from ineqif.measures import _gini_first_moment
+from ineqif.measures import _gini_first_moment, _xlogx
 
 ALL_FAMILY_IDS = ("ge:2", "ge:0.5", "theil", "mld", "atkinson:0.5",
                   "champernowne", "kolm:1")
@@ -54,6 +54,17 @@ class TestSpecs:
             step = 1e-6 * s
             central = (float(f(s + step)) - float(f(s - step))) / (2.0 * step)
             assert float(df(s)) == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    def test_xlogx_in_place_matches_the_where_form(self):
+        # the in-place Theil h against s*log(s) on the positive entries,
+        # bit for bit, on 1-D and 2-D arrays and on scalars
+        s = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf,
+                      -math.inf, math.nan, -1.0, 7.0])
+        with np.errstate(all="ignore"):
+            old = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
+        assert _xlogx(s).tobytes() == old.tobytes()
+        assert _xlogx(s.reshape(3, 4)).tobytes() == old.tobytes()
+        assert [_xlogx(v) for v in s.tolist()] == old.tolist()
 
     def test_atkinson_h(self):
         assert float(make_spec("atkinson", 0.5).h(4.0)) == pytest.approx(2.0)
