@@ -36,7 +36,6 @@ from .errors import (
     KinkPoint,
     MomentDiverges,
     NegativeIncome,
-    NoisyLimit,
     NonConvergence,
     ParseError,
 )
@@ -69,7 +68,6 @@ _NUMERIC_FAILURES = (
     DegenerateDenominator,
     DomainError,
     KinkPoint,
-    NoisyLimit,
     InvalidInterval,
 )
 _USAGE_FAILURES = (InvalidParameter, ParseError, EmptyInput, NegativeIncome)

@@ -710,7 +710,8 @@ class Uniform(Distribution):
     def partial_mean(self, t):
         lo, hi = self.lo, self.hi
         t = np.minimum(np.maximum(np.asarray(t, dtype=float), lo), hi)
-        return _scalar((t * t - lo * lo) / (2.0 * (hi - lo)))
+        # factored: (t^2 - lo^2)/(2 (hi - lo)) cancels near equality
+        return _scalar((t - lo) / (hi - lo) * (0.5 * (lo + t)))
 
     def _closed_form(self, name, c):
         # E log X and E X log X have none here that keeps its precision
@@ -782,7 +783,8 @@ class Empirical(Distribution):
     Every check runs per row. The mean, moments, atom masses, the quantile
     at one level and partial means are then arrays with one value per row;
     a partial mean reads one t per row along the last axis of t. The cdf,
-    quantile arrays, insertion, mid-cdf and Lorenz curve need one sample.
+    quantile arrays, insertion, mid-cdf, Lorenz curve and influence
+    function (so the asymptotic variance too) need one sample.
     """
 
     values: np.ndarray
@@ -817,8 +819,8 @@ class Empirical(Distribution):
     def _one_sample(self):
         if self.values.ndim > 1:
             raise InvalidParameter(
-                "the cdf, quantile arrays, mid-cdf, insertion and Lorenz "
-                "curve need one sample, not a block of samples")
+                "the cdf, quantile arrays, mid-cdf, insertion, Lorenz curve "
+                "and IF need one sample, not a block of samples")
 
     def _rank(self, t, side="right"):
         """`searchsorted` per sample: the number of observations <= t (< t

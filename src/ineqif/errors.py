@@ -46,7 +46,8 @@ class DomainError(IneqError):
 
 
 class KinkPoint(IneqError):
-    """Evaluation point sits on a non-differentiable quantile boundary."""
+    """The contamination path has no derivative at the point: it moves a
+    quantile off the top of an atom, and the measure jumps."""
 
 
 class ParseError(IneqError):

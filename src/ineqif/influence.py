@@ -3,14 +3,12 @@
 Two independent routes exist for every measure: one closed-form influence
 function per measure kind (the unified quadruple formula of Theorem 1, the
 Gini and QSR forms, and the mean), and a numerical Gateaux derivative of
-T along the contamination (1-eps)F + eps Dirac(z): a complex step in eps,
-taken at every point of a grid from one evaluation of T, for the quadruple
-family, the Gini and the QSR on a model with no atom at its quintiles, and
-a difference quotient extrapolated to eps -> 0 for the QSR at such an atom
-and for custom functionals. The closed forms are adjudicated against the
-oracle; published displays are archived in a variant table, each as the
-Python expression it is read as, so the ones that disagree are kept on
-record rather than silently dropped.
+T along the contamination (1-eps)F + eps Dirac(z): the complex step in
+eps, taken at every point of a grid from one evaluation of T, for every
+functional. The closed forms are adjudicated against the oracle; published
+displays are archived in a variant table, each as the Python expression it
+is read as, so the ones that disagree are kept on record rather than
+silently dropped.
 """
 from __future__ import annotations
 
@@ -20,20 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import (
-    Contaminated,
-    Distribution,
-    Empirical,
-    contaminate,
-    scaled,
-)
+from .distributions import Contaminated, Distribution, Empirical, scaled
 from .errors import (
     DegenerateDenominator,
     DomainError,
+    IneqError,
     InvalidParameter,
-    KinkPoint,
     MomentDiverges,
-    NoisyLimit,
 )
 from .measures import (
     MeasureFunctional,
@@ -43,7 +34,8 @@ from .measures import (
     parse_measure_id,
     qsr_components,
 )
-# integrate is unused here; the benchmark tracer patches this name.
+# integrate and derivative_at_zero_plus are unused here; the benchmark
+# tracer patches these names.
 from .numeric import (  # noqa: F401
     DerivativeEstimate,
     derivative_at_zero_plus,
@@ -79,7 +71,8 @@ def _closed_if_vectorized(T: MeasureFunctional,
     """The closed-form IF of T at F as a vectorized function of z.
 
     Every moment is computed once, here; the checks on z itself (the
-    domain of h, quintile boundaries) are the callers'.
+    domain of h) are the callers'. A block of samples and a custom
+    functional other than the mean have none: InvalidParameter.
 
     Quadruple family (Theorem 1), with I = E h(X)/h1(mu) - h2(mu):
       tau'(I) * [ -(h1'(mu) E h(X)/h1(mu)^2 + h2'(mu)) (z - mu)
@@ -99,13 +92,18 @@ def _closed_if_vectorized(T: MeasureFunctional,
       I1 = [-z N + 0.2 Q(0.8) D + 0.8 Q(0.2) N] / D^2
       I2 = [0.2 Q(0.8) D - 0.2 Q(0.2) N] / D^2
       I3 = [z D - 0.8 Q(0.8) D - 0.2 Q(0.2) N] / D^2
-    The returned function carries (Q(0.2), Q(0.8)) as `kinks`.
+    The pieces meet at Q(0.2) and at Q(0.8): the IF is continuous there.
 
     Mean: z - mu.
     """
+    if isinstance(F, Empirical):
+        F._one_sample()
     if T.id == "mean":
         mu = F.mean()
         return lambda xs: np.asarray(xs, dtype=float) - mu
+    if T.kind == "custom":
+        raise InvalidParameter(
+            f"no closed-form IF for custom functional '{T.id}'")
     if T.kind == "gini":
         mu = F.mean()
         r = lorenz_area(F)
@@ -128,7 +126,6 @@ def _closed_if_vectorized(T: MeasureFunctional,
             high = (xs - 0.8 * q4 - 0.2 * q1 * r) / d
             return np.where(xs <= q1, low, np.where(xs < q4, mid, high))
 
-        qsr_if.kinks = (q1, q4)
         return qsr_if
 
     spec = T.spec
@@ -181,9 +178,7 @@ def _kernel_or_error(T: MeasureFunctional, F: Distribution):
 
 def _check_closed_point(T: MeasureFunctional, z: float, kernel) -> float:
     """The checks on z, in a fixed order: z >= 0 and the domain of h come
-    before any moment failure (a kernel that could not be built); the QSR's
-    quintile boundaries, where its IF jumps, come after its quintile
-    moments. A point within 1e-9 (relative) of a boundary counts as on it."""
+    before any moment failure (a kernel that could not be built)."""
     z = _check_point(z)
     if T.spec is not None and T.spec.requires_positive and z <= 0.0:
         raise DomainError(
@@ -192,13 +187,6 @@ def _check_closed_point(T: MeasureFunctional, z: float, kernel) -> float:
         )
     if isinstance(kernel, Exception):
         raise kernel
-    if T.kind == "qsr":
-        q1, q4 = kernel.kinks
-        for q in (q1, q4):
-            if abs(z - q) <= 1e-9 * abs(q):
-                raise KinkPoint(
-                    f"z={z} sits on a quintile boundary (Q in {{{q1}, {q4}}})"
-                )
     return z
 
 
@@ -228,12 +216,10 @@ def gateaux_if(T: MeasureFunctional, F: Distribution,
     (mixture moments are linear in it, the Gini's first moment quadratic),
     so the derivative is the complex step Im T(F_{ih})/h: one evaluation,
     no subtraction, exact to rounding (Squire & Trapp 1998). The QSR's
-    mixture quantile is not analytic in a complex eps, but where F has no
-    atom at Q(0.2) or Q(0.8) the envelope theorem gives its derivative with
-    the quintiles frozen at F's (see `qsr`), and that path is linear in eps
-    and takes the complex step too. The QSR at such an atom and custom
-    functionals take Richardson extrapolation of the difference quotients
-    instead, retried once one decade down when the extrapolants diverge.
+    mixture quantile is not analytic in a complex eps, but its derivative
+    is taken with the quintiles frozen at F's (see `qsr`), a path linear in
+    eps that takes the complex step too. A custom functional takes it as
+    well, so its fn must be analytic along the path (see `_on_path`).
 
     The complex step's `error` is its truncation term h^2 |phi'''(0)|/6,
     taken as 1e-20 |IF|: the step rule of `_complex_step` keeps h times
@@ -242,49 +228,11 @@ def gateaux_if(T: MeasureFunctional, F: Distribution,
     with the closed form.
     """
     z = _check_point(z)
-    values, errors, failures = _gateaux_grid(T, F, np.array([z]))
+    values, errors, failures = _complex_step(T, F, np.array([z]))
     if failures:
         raise failures[0]
     return DerivativeEstimate(value=float(values[0]), error=float(errors[0]))
 
-
-def _gateaux_grid(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
-    """The oracle at every point of zs (checked points): its values and
-    error estimates, NaN where a point fails, and {index: exception} for
-    the points that fail. A failure of T(F) itself fails every point."""
-    if T.kind in ("theil_like", "gini") or (
-            T.kind == "qsr" and F.mass(F.quantile(0.2)) == 0.0
-            and F.mass(F.quantile(0.8)) == 0.0):
-        return _complex_step(T, F, zs)
-    return _richardson(T, F, zs)
-
-
-def _richardson(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
-    """Richardson extrapolation of [T(F_eps) - T(F)]/eps, point by point."""
-    values, errors = np.full(zs.shape, np.nan), np.full(zs.shape, np.nan)
-    try:
-        base_value = T.evaluate(F)
-    except Exception as exc:  # recorded at every point
-        return values, errors, dict.fromkeys(range(zs.size), exc)
-    failures = {}
-    for i, z in enumerate(zs.tolist()):
-        def phi(eps: float) -> float:
-            return T.evaluate(contaminate(F, eps, z)) - base_value
-
-        try:
-            try:
-                est = derivative_at_zero_plus(phi)
-            except NoisyLimit:
-                est = derivative_at_zero_plus(phi, _RETRY_STEPS)
-            values[i], errors[i] = est.value, est.error
-        except Exception as exc:  # recorded, not fatal
-            failures[i] = exc
-    return values, errors, failures
-
-
-# DEFAULT_DERIVATIVE_STEPS one decade down: a first step of 1e-2 can lie
-# outside the asymptotic regime at a smooth point.
-_RETRY_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
 
 # The complex step where no term of the step rule exceeds 1.
 _COMPLEX_STEP = 1e-10
@@ -339,7 +287,7 @@ def _complex_step(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
             idx = pending.pop()
             G = Contaminated(F, 1j * steps[idx], zs[idx])
             try:
-                values[idx] = np.imag(T.evaluate(G)) / steps[idx]
+                values[idx] = np.imag(_on_path(T, G)) / steps[idx]
             except Exception as exc:  # recorded, not fatal
                 if idx.size == 1:
                     failures[int(idx[0])] = exc
@@ -349,6 +297,29 @@ def _complex_step(T: MeasureFunctional, F: Distribution, zs: np.ndarray):
         failures.setdefault(i, DomainError(
             f"IF is {values[i]} at z={float(zs[i])}"))
     return values, _COMPLEX_STEP ** 2 * np.abs(values), failures
+
+
+def _on_path(T: MeasureFunctional, G: Contaminated):
+    """T on a grid of mixtures. A custom fn must be analytic along the
+    path: it returns a complex array with one value per point, or a real
+    scalar (a constant, whose IF is 0). A real array (the imaginary step
+    dropped, as abs does) or an error that is not an IneqError is
+    InvalidParameter."""
+    if T.kind != "custom":
+        return T.evaluate(G)
+    try:
+        value = T.fn(G)
+    except IneqError:
+        raise
+    except Exception as exc:
+        detail = f"it raised {type(exc).__name__}: {exc}"
+    else:
+        if np.shape(value) == (G.z.shape if np.iscomplexobj(value) else ()):
+            return value
+        detail = (f"it returned {np.asarray(value).dtype} of shape "
+                  f"{np.shape(value)}")
+    raise InvalidParameter(f"custom functional '{T.id}' is not analytic "
+                           f"along the complex contamination path: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +482,7 @@ def if_curve(measure_id, F: Distribution, grid: Sequence[float],
         point_errors.append((i, f"closed: IF is {closed[i]} at z={zs[i]}"))
         closed[i] = math.nan
     if with_oracle:
-        oracle, oracle_err, failures = _gateaux_grid(T, F, zs)
+        oracle, oracle_err, failures = _complex_step(T, F, zs)
         point_errors += [(i, f"oracle: {exc}") for i, exc in failures.items()]
     # grid order; at one point the closed error before the oracle's
     point_errors.sort(key=lambda e: (e[0], e[1].startswith("oracle")))
@@ -539,8 +510,11 @@ def default_grid(F: Distribution, measure_id, count: int = 20) -> np.ndarray:
     """Default z grid: log-spaced between Q(0.01) and Q(0.99), or the one
     point Q(0.01) where the two coincide (a point mass).
 
-    For the QSR the grid is built from probability levels kept clear of the
-    quintile boundaries, where the IF is discontinuous.
+    For the QSR the grid is built from probability levels in each of the
+    three pieces of its IF, clear of the quintile levels 0.2 and 0.8, where
+    the IF is continuous but kinks. It stays this grid because the
+    benchmark's reference (`bench/reference.py`) builds the same one and
+    compares curves on it.
     """
     if count < 1:
         raise InvalidParameter(f"grid count must be >= 1, got {count}")

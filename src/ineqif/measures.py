@@ -28,6 +28,7 @@ from .errors import (
     DegenerateDenominator,
     DomainError,
     InvalidParameter,
+    KinkPoint,
     MomentDiverges,
     NonConvergence,
 )
@@ -353,12 +354,26 @@ def qsr(F: Distribution) -> float:
     is linear in eps; so by the envelope theorem this path has the
     derivative of the Lorenz-share QSR in eps at 0. Where the base has no
     atom at q1 or q4, that is the derivative of the ratio below, which
-    counts an atom at a quintile in full.
+    counts an atom at a quintile in full. Where it has one, the quintile
+    stays put under a small contamination and the share is the partial
+    mean alone, linear in eps again; but where the level tops that atom
+    (F(q) = p on the base F), a contamination above q moves the quintile
+    and the share jumps: KinkPoint.
     """
     if isinstance(F, Contaminated) and isinstance(F.epsilon, np.ndarray):
-        _, _, q1, q4 = qsr_components(F.base)
-        d = F.partial_mean(q1) + q1 * (0.2 - F.cdf(q1))
-        n = F.mean() - F.partial_mean(q4) - q4 * (0.8 - F.cdf(q4))
+        base = F.base
+        _, _, q1, q4 = qsr_components(base)
+        atom1, atom4 = base.mass(q1), base.mass(q4)
+        for p, q, atom in ((0.2, q1, atom1), (0.8, q4, atom4)):
+            if atom and base.cdf(q) == p and (F.z > q).any():
+                raise KinkPoint(f"the QSR jumps at z={float(F.z[F.z > q][0])}"
+                                f" above Q({p})={q}, the top of an atom")
+        d = F.partial_mean(q1)
+        if not atom1:
+            d = d + q1 * (0.2 - F.cdf(q1))
+        n = F.mean() - F.partial_mean(q4)
+        if not atom4:
+            n = n - q4 * (0.8 - F.cdf(q4))
         return n / d
     n, d, _, _ = qsr_components(F)
     return n / d

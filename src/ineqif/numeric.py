@@ -3,7 +3,9 @@
 Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals
 and one-sided derivative-at-zero extrapolation. Everything here is a pure
 function of its inputs. `bisect_nondecreasing` is kept only as a name the
-benchmark's tracer patches; no library code calls it.
+benchmark's tracer patches; no library code calls it. No library code
+calls `derivative_at_zero_plus` either (the Gateaux oracle takes the
+complex step), but it is public and the tracer patches it too.
 
 `Tolerance` is `integrate`'s argument alone: every layer above it
 integrates at `DEFAULT_TOL`, so a moment is one number per integrand.
@@ -226,8 +228,9 @@ def _adapt(evaluate, lo: float, hi: float, tol: Tolerance) -> float:
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """A one-sided derivative with an error estimate: the last Richardson
-    correction, or the complex step's truncation term (`gateaux_if`)."""
+    """A derivative with an error estimate: the complex step's truncation
+    term (`gateaux_if`), or the last Richardson correction of
+    `derivative_at_zero_plus`."""
 
     value: float
     error: float

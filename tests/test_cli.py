@@ -691,12 +691,30 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-05
 
     def test_qsr_just_above_the_bottom_quintile_passes(self, capsys):
-        # 1e-7 above Q(0.2) = log(1.25) on exp:1, outside the KinkPoint band:
-        # Richardson read -237 there, against the closed form's -35.474
+        # 1e-7 above Q(0.2) = log(1.25) on exp:1, where the closed form once
+        # refused points within 1e-9 of a quintile: Richardson read -237
+        # there, against the closed form's -35.474
         assert main(["verify", "--ids", "qsr", "--dist", "exp:1", "--grid",
                      "0.22314358:0.2231436:2:lin", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["verdict"] for r in rows] == ["PASS", "PASS"]
+
+    def test_qsr_at_the_bottom_quintile_passes(self, capsys):
+        # z = Q(0.2) = log(1.25): the IF is continuous there, and answers
+        assert main(["verify", "--ids", "qsr", "--dist", "exp:1", "--grid",
+                     "0.2231435513142097:0.2231435513142097:1:lin",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["verdict"] for r in rows] == ["PASS", "PASS"]
+
+    def test_qsr_on_a_point_mass_still_fails(self, capsys):
+        # qsr counts the atom at Q(0.2) = Q(0.8) = 2 in full, and its oracle
+        # differentiates that; the closed form is the Lorenz-share QSR's IF
+        assert main(["verify", "--ids", "qsr", "--dist", "dirac:2", "--grid",
+                     "0:3:7:lin", "--format", "json"]) == 3
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[0]["formula_source"] == "theorem1"
+        assert rows[0]["verdict"] == "FAIL"
 
     @pytest.mark.parametrize("spec", ["exp:2e-05", "pareto:3,33333.3",
                                       "lognormal:10.7,0.5", "sm:2,84900,3",

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,6 +431,18 @@ class TestArrayPartialMean:
         assert type(F.partial_mean(float(F.quantile(0.5)))) is float
         assert F.partial_mean(-1.0) == 0.0
         assert F.partial_mean(math.inf) == F.mean()
+
+    @pytest.mark.parametrize("spec", ["uniform:1,1.000001",
+                                      "uniform:1,1.000000001"])
+    def test_uniform_near_equality_against_exact_arithmetic(self, spec):
+        # (t^2 - lo^2)/(2 (hi - lo)) cancels here; the factored form does not
+        F = parse_distribution(spec)
+        lo, hi = Fraction(F.lo), Fraction(F.hi)
+        for p in (0.2, 0.5, 0.8):
+            t = F.quantile(p)
+            want = float((Fraction(t) ** 2 - lo * lo) / (2 * (hi - lo)))
+            assert abs(F.partial_mean(t) - want) <= 1e-13 * want, p
+        assert F.partial_mean(F.hi) == F.mean()
 
     def test_lognormal_loads_no_scipy_function(self, monkeypatch):
         monkeypatch.setattr(distributions, "_special", None)  # not called

@@ -25,6 +25,7 @@ from ineqif import (
 from ineqif import influence
 from ineqif.cli import parse_distribution
 from ineqif.errors import DomainError, InvalidParameter, KinkPoint, MomentDiverges
+from ineqif.numeric import derivative_at_zero_plus
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -168,12 +169,15 @@ class TestQsrIF:
         for z in (0.25, 0.4, 0.5, 0.65, 0.79):
             assert if_special("qsr", F, z) == pytest.approx(-10.0, abs=1e-12)
 
-    def test_kink_points_flagged(self):
-        F = make_distribution("uniform", 0.0, 1.0)
-        with pytest.raises(KinkPoint):
-            if_special("qsr", F, 0.2)
-        with pytest.raises(KinkPoint):
-            if_special("qsr", F, 0.8)
+    def test_quintile_points_answer_as_the_oracle(self, fleet):
+        # the pieces I1-I3 meet at Q(0.2) and Q(0.8): the IF is continuous
+        T = parse_measure_id("qsr")
+        for F in fleet.values():
+            scale = np.max(np.abs(if_curve(T, F, default_grid(F, T)).closed_form))
+            for p in (0.2, 0.8):
+                q = F.quantile(p)
+                oracle = gateaux_if(T, F, q).value
+                assert abs(if_special(T, F, q) - oracle) <= 1e-12 * scale, (F, p)
 
 
 class TestGateauxOracle:
@@ -181,6 +185,9 @@ class TestGateauxOracle:
         F = make_distribution("exp", 1.0)
         est = gateaux_if(mean_functional(), F, 5.0)
         assert est.value == pytest.approx(5.0 - 1.0, abs=1e-9)
+        for z in (0.0, 0.3, 2.0, 1e6):  # the complex step: exact to rounding
+            assert gateaux_if(mean_functional(), F, z).value == \
+                pytest.approx(z - 1.0, rel=1e-15, abs=1e-15)
 
     def test_constant_functional(self):
         from ineqif import MeasureFunctional
@@ -189,6 +196,10 @@ class TestGateauxOracle:
                               fn=lambda F: 0.25)
         est = gateaux_if(T, make_distribution("exp", 1.0), 2.0)
         assert est.value == 0.0
+        # a real scalar on a grid is a constant at every point
+        curve = if_curve(T, make_distribution("exp", 1.0), [0.5, 2.0],
+                         with_oracle=True)
+        assert curve.oracle.tolist() == [0.0, 0.0]
 
     def test_theil_self_consistency(self):
         F = make_distribution("exp", 1.0)
@@ -324,7 +335,8 @@ class TestGridOracle:
     @pytest.mark.parametrize("mid,spec_name,grid", [
         ("mld", "exp:1", [0.0, 0.5, 1.0]),  # zero income
         ("theil", "uniform:1e-300,2e-300", [1.5e-300, 1e10]),  # step of 0
-        ("qsr", "uniform:1e-300,2e-300", [1.5e-300, 1e10]),  # D = 0 first
+        ("qsr", "uniform:1e-300,2e-300", [1.5e-300, 1e10]),  # step of 0
+        ("qsr", "uniform:0,5e-324", [0.0, 1.0]),  # D = 0 first
         ("ge:-1", "exp:1", [0.5, 1.0, 2.0]),  # E X^-1 diverges
         ("kolm:1", "exp:2e-05", [1e4, 5e4, 1e5]),  # h1(mu) underflows
         ("atkinson:-2", "pareto:3,1", [1e-160, 1.0]),  # non-finite IF
@@ -363,8 +375,8 @@ class TestGridOracle:
 
     def test_qsr_oracle_at_the_quintiles_is_the_closed_forms_limit(
             self, fleet):
-        # the closed form refuses z = Q(p) (KinkPoint) but is continuous
-        # there; Richardson read the jump of the atom-in-full QSR instead
+        # the closed form is continuous at z = Q(p); Richardson read the
+        # jump of the atom-in-full QSR there instead
         T = parse_measure_id("qsr")
         for F in fleet.values():
             kernel = influence._closed_if_vectorized(T, F)
@@ -376,12 +388,16 @@ class TestGridOracle:
                     limit = kernel(np.nextafter(q, side))
                     assert abs(oracle - limit) <= 1e-12 * scale, (F, p, side)
 
-    def test_qsr_on_an_atom_at_a_quintile_keeps_richardson(self,
-                                                            monkeypatch):
-        calls = []
-        richardson = influence.derivative_at_zero_plus
-        monkeypatch.setattr(influence, "derivative_at_zero_plus",
-                            lambda *a: calls.append(1) or richardson(*a))
+    def test_qsr_on_an_atom_at_a_quintile_takes_the_complex_step(
+            self, monkeypatch):
+        from ineqif import numeric
+
+        def no_richardson(*args, **kwargs):
+            raise AssertionError("Richardson extrapolation was called")
+
+        for module in (influence, numeric):
+            monkeypatch.setattr(module, "derivative_at_zero_plus",
+                                no_richardson)
         # Q(0.2) = 2 and Q(0.8) = 6 stay put under a small contamination at
         # z = 3.5 (F(2) = 2/7 > 0.2): the atom-in-full N and D are both
         # (1 - eps) times their base values, so the QSR is 7/3 along the path
@@ -389,10 +405,94 @@ class TestGridOracle:
         assert F.mass(F.quantile(0.2)) > 0.0
         assert gateaux_if(parse_measure_id("qsr"), F, 3.5).value == \
             pytest.approx(0.0, abs=1e-9)
-        assert calls
+
+
+# Atomic models and points away from where the real-eps path kinks; on
+# Empirical [1..5] Q(0.2) = 1 and Q(0.8) = 4 top their atoms, so only
+# z <= 1 has a derivative there
+ATOMIC_POINTS = (
+    ("1..7", Empirical.from_values(range(1, 8)), (0.5, 2.0, 3.5, 6.0, 6.5, 9.0)),
+    ("1..11", Empirical.from_values(range(1, 12)),
+     (1.5, 3.0, 5.0, 9.0, 9.5, 12.0)),
+    ("1..5", Empirical.from_values(range(1, 6)), (0.5, 1.0)),
+    ("dirac:2", Dirac(2.0), (0.5, 2.0, 3.0)),
+    ("contaminated", contaminate(make_distribution("exp", 1.0), 0.3, 0.1),
+     (0.05, 0.1, 0.5, 3.0)),
+)
+
+
+class TestAtomicOracle:
+    """On atomic models the oracle takes the complex step too: it agrees
+    with Richardson extrapolation on the real-eps path, and records a
+    KinkPoint where that path jumps."""
+
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    @pytest.mark.parametrize("name,F,points", ATOMIC_POINTS,
+                             ids=[case[0] for case in ATOMIC_POINTS])
+    def test_complex_step_agrees_with_richardson(self, mid, name, F, points):
+        T = parse_measure_id(mid)
+        base = T.evaluate(F)
+        for z in points:
+            oracle = gateaux_if(T, F, z).value
+            reference = derivative_at_zero_plus(
+                lambda eps: T.evaluate(contaminate(F, eps, z)) - base).value
+            assert abs(oracle - reference) <= 1e-8 * max(1.0, abs(oracle)), z
+
+    def test_kink_above_a_quintile_that_tops_its_atom(self):
+        # F(1) = 0.2 exactly: a contamination above 1 moves Q(0.2) off the
+        # atom, and the atom-in-full QSR jumps (Richardson read -3.7e5 at 2.5)
+        F = Empirical.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
+        T = parse_measure_id("qsr")
+        with pytest.raises(KinkPoint, match=r"z=2\.5 above Q\(0\.2\)=1\.0"):
+            gateaux_if(T, F, 2.5)
+        grid = [0.5, 1.0, 2.5, 4.5, 6.0]
+        curve = if_curve(T, F, grid, with_oracle=True)
+        assert [i for i, _ in curve.point_errors] == [2, 3, 4]
+        assert all("QSR jumps" in m for _, m in curve.point_errors)
+        assert np.isfinite(curve.oracle[:2]).all()
+        assert np.isfinite(curve.closed_form).all()
+
+
+class TestCustomFunctional:
+    """A custom fn takes the complex step: it must be analytic along the
+    contamination path."""
+
+    @pytest.mark.parametrize("fn,detail", [
+        (lambda G: abs(G.mean()), r"returned float64 of shape \(1,\)"),
+        (lambda G: float(G.mean()), "raised TypeError"),
+    ], ids=["abs", "float"])
+    def test_not_analytic_is_invalid(self, fn, detail):
+        from ineqif import MeasureFunctional
+
+        T = MeasureFunctional(id="lossy", kind="custom", fn=fn)
+        F = make_distribution("exp", 1.0)
+        with pytest.raises(InvalidParameter, match=detail):
+            gateaux_if(T, F, 2.0)
+        curve = if_curve(T, F, [0.5, 2.0], with_oracle=True)
+        assert np.isnan(curve.oracle).all()
+        assert [m.startswith("oracle: custom functional 'lossy'")
+                for i, m in curve.point_errors] == [False, True, False, True]
+
+    def test_no_closed_form(self):
+        from ineqif import MeasureFunctional
+
+        T = MeasureFunctional(id="const", kind="custom", fn=lambda F: 0.25)
+        F = make_distribution("exp", 1.0)
+        message = "no closed-form IF for custom functional 'const'"
+        with pytest.raises(InvalidParameter, match=message):
+            if_special(T, F, 1.0)
+        with pytest.raises(InvalidParameter, match=message):
+            asymptotic_variance(T, F)
 
 
 class TestAsymptoticVariance:
+    @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS)
+    def test_block_of_samples_is_refused(self, mid):
+        block = np.sort(np.random.default_rng(5).exponential(size=(3, 20)),
+                        axis=1)
+        with pytest.raises(InvalidParameter, match="block of samples"):
+            asymptotic_variance(parse_measure_id(mid), Empirical(block))
+
     def test_mean_functional_gives_population_variance(self):
         F = make_distribution("exp", 1.0)
         assert asymptotic_variance(mean_functional(), F) == pytest.approx(
@@ -465,11 +565,11 @@ class TestIFCurve:
 
     def test_per_point_failures_recorded_not_fatal(self):
         F = make_distribution("uniform", 0.0, 1.0)
-        curve = if_curve("qsr", F, [0.1, 0.2, 0.5])  # 0.2 is a kink
+        curve = if_curve("mld", F, [0.0, 0.2, 0.5])  # log 0 at z = 0
         assert len(curve.point_errors) == 1
-        assert curve.point_errors[0][0] == 1
-        assert np.isnan(curve.closed_form[1])
-        assert np.isfinite(curve.closed_form[2])
+        assert curve.point_errors[0][0] == 0
+        assert np.isnan(curve.closed_form[0])
+        assert np.isfinite(curve.closed_form[1:]).all()
 
     @pytest.mark.parametrize("mid", DEFAULT_MEASURE_IDS + ("ge:0.5",))
     @pytest.mark.parametrize("spec_name", ["exp:1", "uniform:0,1",
