@@ -67,9 +67,7 @@ from .measures import (
 )
 from .numeric import (
     DEFAULT_DERIVATIVE_STEPS,
-    DEFAULT_TOL,
     DerivativeEstimate,
-    Tolerance,
     derivative_at_zero_plus,
     integrate,
 )

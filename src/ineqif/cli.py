@@ -70,7 +70,11 @@ _NUMERIC_FAILURES = (
     KinkPoint,
     InvalidInterval,
 )
-_USAGE_FAILURES = (InvalidParameter, ParseError, EmptyInput, NegativeIncome)
+# A request too large for memory is the caller's to shrink.
+_USAGE_FAILURES = (InvalidParameter, ParseError, EmptyInput, NegativeIncome,
+                   MemoryError)
+# Past this many elements numpy cannot size a float64 array.
+_MAX_ARRAY_LEN = sys.maxsize // 8
 
 # Relative slack applied on top of the absolute verification tolerance.
 VERIFY_REL_SLACK = 1e-4
@@ -186,6 +190,9 @@ def parse_grid(spec: str) -> np.ndarray:
         raise InvalidParameter(f"grid bounds must be finite, got {spec!r}")
     if count < 1:
         raise InvalidParameter(f"grid count must be >= 1, got {count}")
+    if count > _MAX_ARRAY_LEN:
+        raise InvalidParameter(
+            f"grid count must be at most {_MAX_ARRAY_LEN}, got {count}")
     if not lo < hi and count > 1:
         raise InvalidParameter(f"grid needs min < max, got {spec!r}")
     if spacing == "lin":
@@ -290,15 +297,18 @@ def render_json(payload: dict) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ineqif-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ineqif-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _emit(cfg: RunConfig, payload: dict, columns, rows) -> None:
@@ -473,6 +483,10 @@ def _cmd_verify(cfg: RunConfig, abs_tol: float) -> int:
 
 
 def _cmd_mc_study(cfg: RunConfig, n: int, reps: int) -> int:
+    for flag, size in (("--n", n), ("--reps", reps)):
+        if size > _MAX_ARRAY_LEN:
+            raise InvalidParameter(
+                f"{flag} must be at most {_MAX_ARRAY_LEN}, got {size}")
     F = cfg.distribution()
     T = cfg.measures[0]
     report = mc_variance_study(T, F, n, reps, RngStream(cfg.seed))

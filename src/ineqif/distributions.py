@@ -25,8 +25,7 @@ function Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and
 both ends are graded as p = u**8, which makes power-law ends regular
 integrands. The quantile carries the scale, so the quadrature nodes do not
 depend on it. Every such integral runs at `integrate`'s one error target,
-so a cached moment is keyed by its integrand alone. Each kind keeps its
-density `pdf` as an independent x-space route for the tests.
+so a cached moment is keyed by its integrand alone.
 
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
@@ -47,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter, MomentDiverges
+from .errors import InvalidParameter, MomentDiverges
 # bisect_nondecreasing is unused here; the benchmark tracer patches this name.
 from .numeric import (  # noqa: F401
     _make_evaluator,
@@ -91,13 +90,9 @@ _inv_ncdf = NormalDist().inv_cdf
 _GRADE = 8
 
 
-def _ncdf(u: float) -> float:
-    """Standard normal cdf, accurate in the lower tail."""
-    return 0.5 * math.erfc(-u * _SQRT_HALF)
-
-
 def _ncdf_array(u: np.ndarray) -> np.ndarray:
-    """`_ncdf` per element, through the stdlib's erfc: no scipy."""
+    """Standard normal cdf per element, accurate in the lower tail, through
+    the stdlib's erfc: no scipy."""
     w = -u * _SQRT_HALF
     return 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float,
                              count=w.size).reshape(w.shape)
@@ -143,9 +138,6 @@ class Distribution:
 
     def cdf(self, x):
         raise NotImplementedError
-
-    def pdf(self, x):
-        raise DomainError(f"{self.kind} distribution has no density")
 
     def quantile(self, p: float) -> float:
         raise NotImplementedError
@@ -354,10 +346,6 @@ class Exponential(Distribution):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
-
     def quantile(self, p):
         p = _check_prob(p)
         if p == 1.0:
@@ -431,12 +419,6 @@ class Pareto(Distribution):
         safe = np.maximum(x, self.scale)
         return np.where(x < self.scale, 0.0, 1.0 - (self.scale / safe) ** self.shape)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        safe = np.maximum(x, self.scale)
-        dens = self.shape * self.scale ** self.shape / safe ** (self.shape + 1.0)
-        return np.where(x < self.scale, 0.0, dens)
-
     def quantile(self, p):
         p = _check_prob(p)
         if p == 1.0:
@@ -499,13 +481,6 @@ class LogNormal(Distribution):
         safe = np.where(x > 0, x, 1.0)
         u = (np.log(safe) - self.log_mean) / self.sigma
         return np.where(x > 0, _ncdf_array(u), 0.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x > 0, x, 1.0)
-        u = (np.log(safe) - self.log_mean) / self.sigma
-        val = np.exp(-0.5 * u * u) / (safe * self.sigma * math.sqrt(2.0 * math.pi))
-        return np.where(x > 0, val, 0.0)
 
     def quantile(self, p):
         p = _check_prob(p)
@@ -583,14 +558,6 @@ class SinghMaddala(Distribution):
         x = np.asarray(x, dtype=float)
         safe = np.maximum(x, 0.0)
         return np.where(x <= 0, 0.0, 1.0 - (1.0 + (safe / self.b) ** self.a) ** (-self.q))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x > 0, x, 1.0)
-        w = (safe / self.b) ** self.a
-        dens = (self.a * self.q / self.b) * (safe / self.b) ** (self.a - 1.0) \
-            * (1.0 + w) ** (-self.q - 1.0)
-        return np.where(x > 0, dens, 0.0)
 
     def quantile(self, p):
         p = _check_prob(p)
@@ -687,11 +654,6 @@ class Uniform(Distribution):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     def quantile(self, p):
         p = _check_prob(p)

@@ -29,6 +29,7 @@ from .errors import (
 from .measures import (
     MeasureFunctional,
     _checked_h1,
+    _mean_of,
     functional_value,
     lorenz_area,
     parse_measure_id,
@@ -72,7 +73,8 @@ def _closed_if_vectorized(T: MeasureFunctional,
 
     Every moment is computed once, here; the checks on z itself (the
     domain of h) are the callers'. A block of samples and a custom
-    functional other than the mean have none: InvalidParameter.
+    functional other than `mean_functional()`'s have none (a custom
+    functional is the mean by its fn, not by its id): InvalidParameter.
 
     Quadruple family (Theorem 1), with I = E h(X)/h1(mu) - h2(mu):
       tau'(I) * [ -(h1'(mu) E h(X)/h1(mu)^2 + h2'(mu)) (z - mu)
@@ -98,7 +100,7 @@ def _closed_if_vectorized(T: MeasureFunctional,
     """
     if isinstance(F, Empirical):
         F._one_sample()
-    if T.id == "mean":
+    if T.fn is _mean_of:
         mu = F.mean()
         return lambda xs: np.asarray(xs, dtype=float) - mu
     if T.kind == "custom":

@@ -403,10 +403,14 @@ class MeasureFunctional:
         return self.fn(F)
 
 
+def _mean_of(F: Distribution):
+    """The mean functional's map; the closed-form IF knows it by identity."""
+    return F.mean()
+
+
 def mean_functional() -> MeasureFunctional:
     """The mean as a functional; its influence function is z - mu."""
-    return MeasureFunctional(id="mean", kind="custom",
-                             fn=lambda F: F.mean())
+    return MeasureFunctional(id="mean", kind="custom", fn=_mean_of)
 
 
 _FAMILY_TOKENS = {

@@ -1,14 +1,11 @@
 """Deterministic numerical primitives.
 
-Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals
-and one-sided derivative-at-zero extrapolation. Everything here is a pure
-function of its inputs. `bisect_nondecreasing` is kept only as a name the
+Adaptive Gauss-Kronrod quadrature on finite intervals and one-sided
+derivative-at-zero extrapolation. Everything here is a pure function of
+its inputs. `bisect_nondecreasing` is kept only as a name the
 benchmark's tracer patches; no library code calls it. No library code
 calls `derivative_at_zero_plus` either (the Gateaux oracle takes the
 complex step), but it is public and the tracer patches it too.
-
-`Tolerance` is `integrate`'s argument alone: every layer above it
-integrates at `DEFAULT_TOL`, so a moment is one number per integrand.
 
 Quadrature cost is mostly a fixed price per integrand call, not per node,
 so `integrate` makes one call per panel split: it evaluates both halves of
@@ -27,8 +24,6 @@ import numpy as np
 from .errors import InvalidInterval, InvalidParameter, NoisyLimit, NonConvergence
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "integrate",
     "DerivativeEstimate",
     "DEFAULT_DERIVATIVE_STEPS",
@@ -36,30 +31,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Error targets for adaptive quadrature.
-
-    Convergence is declared once the summed panel error drops below
-    max(abs_tol, rel_tol * |integral|).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not 0 < self.abs_tol < math.inf:
-            raise InvalidParameter(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if not 0 < self.rel_tol < math.inf:
-            raise InvalidParameter(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise InvalidParameter(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-
-
-DEFAULT_TOL = Tolerance()
+# `integrate`'s one error target: converged once the summed panel error
+# is below max(_ABS_TOL, _REL_TOL * |integral|), within _MAX_SUBDIVISIONS
+# panel splits.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (QUADPACK dqk15).
 _XGK = np.array([
@@ -149,43 +126,26 @@ def _gk15(evaluate, edges: Sequence[float]) -> list:
     return out
 
 
-def integrate(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Integrate g over (a, b), with b possibly +inf.
+def integrate(g: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate g over the finite interval (a, b), to the module's one
+    error target.
 
-    Semi-infinite intervals are mapped onto [0, 1) through the substitution
-    x = a + t/(1-t) before adaptive subdivision; nodes never touch t=1.
     Each step splits the panel with the largest error estimate in two, and
     one integrand call on 30 nodes evaluates both halves.
 
     Raises NonConvergence (carrying the best estimate and its error bound)
-    when the subdivision budget is exhausted, and InvalidInterval if a >= b.
+    when the subdivision budget is exhausted, and InvalidInterval unless
+    a < b are both finite.
     """
-    if math.isnan(a) or math.isnan(b) or math.isinf(a):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidInterval(f"invalid interval ({a}, {b})")
     if not a < b:
         raise InvalidInterval(f"need a < b, got ({a}, {b})")
-
-    if math.isinf(b):
-        base = _make_evaluator(g)
-
-        def transformed(ts: np.ndarray) -> np.ndarray:
-            w = 1.0 - ts
-            return base(a + ts / w) / (w * w)
-
-        evaluate, lo, hi = transformed, 0.0, 1.0
-    else:
-        evaluate, lo, hi = _make_evaluator(g), float(a), float(b)
-
     with np.errstate(all="ignore"):
-        return _adapt(evaluate, lo, hi, tol)
+        return _adapt(_make_evaluator(g), float(a), float(b))
 
 
-def _adapt(evaluate, lo: float, hi: float, tol: Tolerance) -> float:
+def _adapt(evaluate, lo: float, hi: float) -> float:
     """Worst-panel-first bisection of [lo, hi] (QUADPACK's QAG scheme)."""
     [(value, err)] = _gk15(evaluate, (lo, hi))
     if not math.isfinite(value):
@@ -196,10 +156,10 @@ def _adapt(evaluate, lo: float, hi: float, tol: Tolerance) -> float:
     total_value, total_err = value, err
     splits = 0
 
-    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_value)):
-        if splits >= tol.max_subdivisions:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_value)):
+        if splits >= _MAX_SUBDIVISIONS:
             raise NonConvergence(
-                f"subdivision budget {tol.max_subdivisions} exhausted "
+                f"subdivision budget {_MAX_SUBDIVISIONS} exhausted "
                 f"(estimate {total_value!r}, error bound {total_err!r})",
                 total_value,
                 total_err,

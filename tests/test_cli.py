@@ -270,7 +270,7 @@ class TestParsers:
         log = parse_grid("0.1:10:3:log")
         assert log[1] == pytest.approx(1.0)
         for bad in ("1:2:3", "2:1:5:lin", "0:1:0:lin", "0:1:5:geo",
-                    "0:1:x:lin"):
+                    "0:1:x:lin", f"0:1:{2 ** 62}:lin"):
             with pytest.raises(InvalidParameter):
                 parse_grid(bad)
 
@@ -470,6 +470,28 @@ class TestExitCodes:
         # by if-curve, verify and compare-ge
         assert main(command.split()) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        f"if-curve --id theil --dist exp:1 --grid 0.1:1:{2 ** 62}:lin",
+        f"mc-study --id theil --dist exp:1 --n {2 ** 62} --reps 2",
+        f"mc-study --id theil --dist exp:1 --n 10 --reps {2 ** 62}",
+    ])
+    def test_size_numpy_cannot_allocate_is_a_usage_error(self, command,
+                                                         capsys):
+        assert main(command.split() + ["--format", "json"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert "must be at most" in error["message"]
+
+    def test_memory_error_is_a_usage_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "mc_variance_study", exhausted)
+        assert main(["mc-study", "--id", "theil", "--dist", "exp:1",
+                     "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "MemoryError", "message": "cannot allocate"}
 
     def test_usage_unknown_flag(self):
         assert main(["measure", "--id", "theil", "--dist", "exp:1",
@@ -970,3 +992,17 @@ class TestAtomicWrite:
         assert os.path.exists(out)
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".ineqif")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("kind", ["missing_directory", "directory"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, kind):
+        out = tmp_path / "missing" / "r.csv"
+        if kind == "directory":
+            out = tmp_path / "r.csv"
+            out.mkdir()
+        rc = main(["measure", "--id", "theil", "--dist", "exp:1",
+                   "--out", str(out), "--format", "json"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert f"cannot write output file {str(out)!r}" in error["message"]
+        assert [f for f in os.listdir(tmp_path) if f.startswith(".ineqif")] == []

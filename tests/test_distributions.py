@@ -9,7 +9,6 @@ from ineqif import (
     Dirac,
     Empirical,
     contaminate,
-    integrate,
     make_distribution,
     scaled,
     translated,
@@ -21,7 +20,7 @@ from ineqif import (
     printed_variants,
 )
 from ineqif.cli import parse_distribution
-from ineqif.distributions import Contaminated, _ncdf
+from ineqif.distributions import Contaminated
 from ineqif.errors import InvalidParameter
 
 PARAMETRIC = [
@@ -40,9 +39,9 @@ class TestConstruction:
     def test_unit_exponential_mean(self):
         assert make_distribution("exp", 1.0).mean() == pytest.approx(1.0)
 
-    def test_pareto_mean_against_quadrature(self):
+    def test_pareto_mean_against_quadrature(self, density_expect):
         F = make_distribution("pareto", 2.0, 1.0)
-        oracle = integrate(lambda y: y * F.pdf(y), F.lep, F.uep)
+        oracle = density_expect(F, lambda y: y)
         assert oracle == pytest.approx(2.0, rel=1e-8)
         assert F.mean() == pytest.approx(oracle, rel=1e-8)
 
@@ -322,23 +321,27 @@ class TestLogNormalAgainstMpmath:
         u = (np.log(xs) - F.log_mean) / F.sigma
         got = F.cdf(xs)
         assert got.shape == shape and got.dtype == float
-        expected = [_ncdf(v) for v in u.ravel().tolist()]
+        # the scalar cdf through erfc, accurate in the lower tail
+        expected = [0.5 * math.erfc(-v * math.sqrt(0.5))
+                    for v in u.ravel().tolist()]
         assert got.ravel().tolist() == expected
 
 
 class TestMoments:
     @pytest.mark.parametrize("kind,params", PARAMETRIC)
-    def test_closed_form_mean_matches_quadrature(self, kind, params):
+    def test_closed_form_mean_matches_quadrature(self, kind, params,
+                                                 density_expect):
         F = make_distribution(kind, *params)
-        oracle = integrate(lambda y: y * F.pdf(y), F.lep, F.uep)
+        oracle = density_expect(F, lambda y: y)
         assert F.mean() == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("kind,params", PARAMETRIC)
     @pytest.mark.parametrize("level", [0.25, 0.6, 0.9])
-    def test_partial_mean_matches_quadrature(self, kind, params, level):
+    def test_partial_mean_matches_quadrature(self, kind, params, level,
+                                             density_expect):
         F = make_distribution(kind, *params)
         t = F.quantile(level)
-        oracle = integrate(lambda y: y * F.pdf(y), F.lep, t)
+        oracle = density_expect(F, lambda y: y, upper=t)
         assert F.partial_mean(t) == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
 

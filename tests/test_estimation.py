@@ -161,12 +161,16 @@ def _assert_same_report(got, want):
 
 def _mean_below(threshold, error=DomainError):
     """The mean, raising `error` on every sample (row of a block) whose
-    maximum exceeds `threshold`."""
-    def fn(F):
-        if isinstance(F, Empirical) and (F.values[..., -1] > threshold).any():
-            raise error(f"an observation above {threshold} on {F.descriptor()}")
-        return F.mean()
-    return MeasureFunctional(id="mean", kind="custom", fn=fn)
+    maximum exceeds `threshold`; its IF is the mean's."""
+    mean = mean_functional()
+
+    class MeanBelow(MeasureFunctional):
+        def evaluate(self, F):
+            if isinstance(F, Empirical) and (F.values[..., -1] > threshold).any():
+                raise error(f"an observation above {threshold} on {F.descriptor()}")
+            return super().evaluate(F)
+
+    return MeanBelow(id=mean.id, kind=mean.kind, fn=mean.fn)
 
 
 class TestStudyInBlocks:

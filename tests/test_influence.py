@@ -154,8 +154,8 @@ class TestQsrIF:
         pieces = [(0.0, 0.2), (0.2, 0.8), (0.8, 1.0)]
         total = sum(
             integrate(lambda x: np.array(
-                [if_special("qsr", F, float(v)) for v in np.atleast_1d(x)]) * F.pdf(x),
-                a, b)
+                [if_special("qsr", F, float(v)) for v in np.atleast_1d(x)])
+                / (F.hi - F.lo), a, b)
             for a, b in pieces)
         assert abs(total) <= 1e-6
 
@@ -473,12 +473,17 @@ class TestCustomFunctional:
         assert [m.startswith("oracle: custom functional 'lossy'")
                 for i, m in curve.point_errors] == [False, True, False, True]
 
-    def test_no_closed_form(self):
+    @pytest.mark.parametrize("mid,fn", [
+        ("const", lambda F: 0.25),
+        # named as the mean, but the square of the mean: IF 4.0 at z = 3
+        ("mean", lambda G: G.mean() ** 2),
+    ])
+    def test_no_closed_form(self, mid, fn):
         from ineqif import MeasureFunctional
 
-        T = MeasureFunctional(id="const", kind="custom", fn=lambda F: 0.25)
+        T = MeasureFunctional(id=mid, kind="custom", fn=fn)
         F = make_distribution("exp", 1.0)
-        message = "no closed-form IF for custom functional 'const'"
+        message = f"no closed-form IF for custom functional '{mid}'"
         with pytest.raises(InvalidParameter, match=message):
             if_special(T, F, 1.0)
         with pytest.raises(InvalidParameter, match=message):

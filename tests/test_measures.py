@@ -95,10 +95,10 @@ class TestFunctionalValue:
     def test_equality_gives_zero(self):
         assert functional_value(make_spec("ge", 2.0), Dirac(3.0)).value == 0.0
 
-    def test_ge2_exponential(self):
+    def test_ge2_exponential(self, density_expect):
         # oracle: second moment by quadrature, mu=1, T=(mu2/mu^2-1)/2
         F = make_distribution("exp", 1.0)
-        mu2 = integrate(lambda y: y ** 2 * F.pdf(y), 0.0, math.inf)
+        mu2 = density_expect(F, lambda y: y ** 2)
         oracle = (mu2 / 1.0 - 1.0) / 2.0
         assert oracle == pytest.approx(0.5, abs=1e-9)
         assert functional_value(make_spec("ge", 2.0), F).value == pytest.approx(

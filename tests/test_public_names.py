@@ -28,10 +28,10 @@ def test_every_exported_function_and_class_is_in_its_modules_all():
             assert public in module.__all__, f"{module.__name__}.{public}"
 
 
-@pytest.mark.parametrize("name", ["cli", "distributions", "measures",
-                                  "influence", "estimation"])
+@pytest.mark.parametrize("name", ["cli", "numeric", "distributions",
+                                  "measures", "influence", "estimation"])
 def test_no_public_callable_takes_a_quadrature_tolerance(name):
-    # the quadrature's error target is `integrate`'s argument alone
+    # the quadrature has one fixed error target
     module = importlib.import_module(f"ineqif.{name}")
     for public, obj in vars(module).items():
         if public.startswith("_") or getattr(obj, "__module__", None) \

@@ -1,10 +1,11 @@
 """Moments in probability space, E g(X) = integral of g(Q(p)) over [0, 1].
 
-Two kinds of check. The x-space route, integrate(g * pdf) over the support,
-shares no code with the quantile form (no quantile, no inverse survival
-function, no grading), so agreement between the two checks both. And cells
-that the x-space route could not compute, at income scale or near a moment
-boundary, are checked against their closed forms.
+Two kinds of check. The x-space route, g times the scipy.stats density
+under scipy's QUADPACK, shares no code with the quantile form (no
+quantile, no inverse survival function, no grading, no ineqif quadrature),
+so agreement between the two checks both. And cells that the x-space route
+could not compute, at income scale or near a moment boundary, are checked
+against their closed forms.
 """
 import math
 
@@ -14,7 +15,6 @@ import pytest
 from ineqif import (
     DEFAULT_MEASURE_IDS,
     asymptotic_variance,
-    integrate,
     parse_measure_id,
 )
 from ineqif.cli import parse_distribution
@@ -38,11 +38,12 @@ def _moment_integrands():
 
 @pytest.mark.parametrize("name,h", _moment_integrands())
 @pytest.mark.parametrize("spec", UNIT_FLEET)
-def test_quantile_form_matches_the_density_route(spec, name, h):
+def test_quantile_form_matches_the_density_route(spec, name, h,
+                                                  density_expect):
     F = parse_distribution(spec)
     if h is None:
         h = lambda x: np.asarray(x, dtype=float) * F.cdf(x)  # noqa: E731
-    reference = integrate(lambda x: h(x) * F.pdf(x), F.lep, F.uep)
+    reference = density_expect(F, h)
     assert F.expect(h) == pytest.approx(reference, rel=1e-10, abs=1e-12)
 
     # a node whose p = u**8 underflows to 0 adds nothing, even where h is
