@@ -22,9 +22,37 @@ from ineqif.numeric import (
 from ineqif.numeric import _WG, _WGK, _XGK, _make_evaluator
 
 
+def _half_line(f):
+    """The integrand on (0, 1) whose integral is that of f on (0, inf),
+    under x = t/(1-t)."""
+    def mapped(t):
+        w = 1.0 - np.asarray(t)
+        return f(t / w) / (w * w)
+    return mapped
+
+
 class TestIntegrate:
     def test_polynomial_exactness(self):
         assert integrate(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_unit_exponential_normalization(self):
+        value = integrate(_half_line(lambda x: np.exp(-x)), 0.0, 1.0)
+        assert value == pytest.approx(1.0, abs=1e-9)
+
+    def test_second_moment_against_gauss_laguerre(self):
+        # independent oracle: high-order Gauss-Laguerre nodes integrate
+        # x^2 e^-x exactly; recursive integration by parts gives Gamma(3)=2
+        nodes, weights = np.polynomial.laguerre.laggauss(40)
+        oracle = float(weights @ nodes ** 2)
+        assert oracle == pytest.approx(2.0, abs=1e-10)
+        value = integrate(_half_line(lambda x: x ** 2 * np.exp(-x)), 0.0, 1.0)
+        assert value == pytest.approx(oracle, abs=1e-9)
+
+    def test_default_subdivision_budget(self):
+        # ~1.6e5 periods: 2000 panels of 15 nodes cannot resolve them
+        with pytest.raises(NonConvergence) as excinfo:
+            integrate(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+        assert "subdivision budget 2000 exhausted" in str(excinfo.value)
 
     def test_invalid_interval(self):
         with pytest.raises(InvalidInterval):
@@ -140,11 +168,15 @@ def _moment(law, h):
 
 _MODELS = [("exp:1", stats.expon()), ("lognormal:0,0.5", stats.lognorm(0.5)),
            ("sm:2,1,3", stats.burr12(2.0, 3.0))]
+_MOMENTS = [("x", lambda x: x), ("xlogx", lambda x: x * np.log(x)),
+            ("x^2", lambda x: x * x)]
 _MOMENT_CASES = [
     pytest.param(_moment(law, h), 0.0, 3.0, id=f"{name}-{hid}-0.0-3.0")
-    for name, law in _MODELS
-    for hid, h in [("x", lambda x: x), ("xlogx", lambda x: x * np.log(x)),
-                   ("x^2", lambda x: x * x)]
+    for name, law in _MODELS for hid, h in _MOMENTS
+] + [
+    pytest.param(_half_line(_moment(law, h)), 0.0, 1.0,
+                 id=f"{name}-{hid}-half-line")
+    for name, law in _MODELS for hid, h in _MOMENTS
 ] + [pytest.param(lambda x: x ** -0.5, 0.0, 1.0, id="x^-0.5")]
 
 
