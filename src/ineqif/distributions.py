@@ -6,7 +6,8 @@ point mass `Dirac(x)` is the one-point empirical law. Each kind states its
 cdf, quantile, mean and partial mean E[X 1{X <= t}] once, and the base
 class derives the rest from them: the support ends lep = Q(0) and
 uep = Q(1), and the Lorenz curve from the partial mean at Q(p) (exact
-through atoms, no quadrature).
+through atoms, no quadrature). The parametric kinds also state the
+partial second moment E[X^2 1{X <= t}], which the QSR's variance reads.
 
 A parametric model answers a keyed moment from its closed form first
 (`_moment`): E X^c on every kind, E log X and E X log X on every kind but
@@ -75,8 +76,8 @@ __all__ = [
 def _special():
     """scipy.special, imported on first use: it is most of the import time
     of the package, and only lognormal draws and QSR grids (`ndtri` on
-    arrays), Singh-Maddala partial means (`betainc`) and Singh-Maddala log
-    moments (`digamma`) need it."""
+    arrays), Singh-Maddala partial means and partial second moments
+    (`betainc`) and Singh-Maddala log moments (`digamma`) need it."""
     from scipy import special
     return special
 
@@ -153,6 +154,15 @@ class Distribution:
         """E[X 1{X <= t}], with atoms at t counted in full: a Python float
         at a float t, and per element on an array of t, by one formula."""
         raise NotImplementedError
+
+    def partial_second_moment(self, t: float):
+        """E[X^2 1{X <= t}] at a float t, from the kind's closed form; None
+        where it has none. Beside `partial_mean` it gives the stop-loss
+        moments below t: the first-order stop-loss identity
+        E(t - X)_+ = t F(t) - E[X 1{X <= t}] (the integral of F over
+        [0, t]), and the second-order one
+        E(t - X)_+^2 = t^2 F(t) - 2 t E[X 1{X <= t}] + E[X^2 1{X <= t}]."""
+        return None
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -369,6 +379,23 @@ class Exponential(Distribution):
                                    0.0), 1e3)
         return _scalar((1.0 - np.exp(-lt) * (1.0 + lt)) / self.rate)
 
+    def partial_second_moment(self, t):
+        # 2 P(3, x)/rate^2 at x = rate t, with P(3, x) = 1 - e^{-x}(1 + x
+        # + x^2/2): below x = 2 the difference cancels (to x^3/6 at 0), and
+        # P(3, x) is summed as e^{-x} (x^3/3! + x^4/4! + ...) instead
+        x = min(max(self.rate * float(t), 0.0), 1e3)
+        if x < 2.0:
+            term = total = x ** 3 / 6.0
+            j = 3
+            while term > 1e-17 * total:
+                j += 1
+                term *= x / j
+                total += term
+            p3 = math.exp(-x) * total
+        else:
+            p3 = 1.0 - math.exp(-x) * (1.0 + x * (1.0 + 0.5 * x))
+        return 2.0 * p3 / self.rate / self.rate
+
     def _closed_form(self, name, c):
         # E X^c = Gamma(1 + c)/rate^c for c > -1: its log has the
         # c-derivatives digamma(1 + c) - log rate and trigamma(1 + c)
@@ -439,6 +466,15 @@ class Pareto(Distribution):
         # below the scale the ratio is 1 and the mass 0; at inf it is 0
         ratio = np.maximum(np.asarray(t, dtype=float), self.scale) / self.scale
         return _scalar(self.mean() * (1.0 - ratio ** (1.0 - self.shape)))
+
+    def partial_second_moment(self, t):
+        # k s^2 (1 - (t/s)^(2-k))/(k - 2), through -expm1: exact near k = 2,
+        # where it tends to 2 s^2 log(t/s)
+        k, s = self.shape, self.scale
+        log_ratio = math.log(max(float(t), s) / s)
+        w = k - 2.0
+        factor = log_ratio if w == 0.0 else -math.expm1(-w * log_ratio) / w
+        return k * s * s * factor
 
     def _closed_form(self, name, c):
         # E X^c = k s^c/(k - c) for c < k: its log has the c-derivatives
@@ -512,6 +548,16 @@ class LogNormal(Distribution):
         safe = np.where(t > 0, t, 1.0)
         u = (np.log(safe) - self.log_mean - self.sigma ** 2) / self.sigma
         return _scalar(np.where(t > 0, self.mean() * _ncdf_array(u), 0.0))
+
+    def partial_second_moment(self, t):
+        # E X^2 Phi(u): X^2 tilts the law to lognormal(m + 2 sigma^2, sigma)
+        t = float(t)
+        if not t > 0.0:
+            return 0.0
+        m, sigma = self.log_mean, self.sigma
+        u = (math.log(t) - m - 2.0 * sigma * sigma) / sigma
+        return math.exp(2.0 * (m + sigma * sigma)) * 0.5 * math.erfc(
+            -u * _SQRT_HALF)
 
     def _closed_form(self, name, c):
         # E X^c = exp(c m + c^2 sigma^2/2): its log has the c-derivatives
@@ -589,6 +635,22 @@ class SinghMaddala(Distribution):
         w = np.minimum((t / self.b) ** self.a, 1e300)
         return _scalar(self.mean() * _special().betainc(
             1.0 + 1.0 / self.a, self.q - 1.0 / self.a, w / (1.0 + w)))
+
+    def partial_second_moment(self, t):
+        # E X^2 I_x(1 + 2/a, q - 2/a) at x = w/(1 + w), w = (t/b)^a, as
+        # `partial_mean`; the form needs a finite E X^2, a q > 2. x is
+        # formed from the ratio t/b or b/t, whichever is at most 1, so the
+        # power neither overflows nor divides inf by inf
+        a, q = self.a, self.q
+        if not a * q > 2.0:
+            return None
+        t = float(t)
+        if not t > 0.0:
+            return 0.0
+        r = t / self.b
+        x = r ** a / (1.0 + r ** a) if r <= 1.0 else 1.0 / (1.0 + r ** -a)
+        return self._closed_form("pow", 2.0) * float(
+            _special().betainc(1.0 + 2.0 / a, q - 2.0 / a, x))
 
     def _closed_form(self, name, c):
         # E X^c = b^c G(1 + c/a) G(q - c/a) / G(q), for -a < c < a q; E log X
@@ -674,6 +736,12 @@ class Uniform(Distribution):
         t = np.minimum(np.maximum(np.asarray(t, dtype=float), lo), hi)
         # factored: (t^2 - lo^2)/(2 (hi - lo)) cancels near equality
         return _scalar((t - lo) / (hi - lo) * (0.5 * (lo + t)))
+
+    def partial_second_moment(self, t):
+        lo, hi = self.lo, self.hi
+        t = min(max(float(t), lo), hi)
+        # factored, as `partial_mean`: (t^3 - lo^3)/(3 (hi - lo))
+        return (t - lo) / (hi - lo) * ((t * t + t * lo + lo * lo) / 3.0)
 
     def _closed_form(self, name, c):
         # E log X and E X log X have none here that keeps its precision

@@ -18,7 +18,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Contaminated, Distribution, Empirical, scaled
+from .distributions import (
+    Contaminated,
+    Distribution,
+    Empirical,
+    Exponential,
+    Pareto,
+    Uniform,
+    scaled,
+)
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -332,23 +340,32 @@ def _on_path(T: MeasureFunctional, G: Contaminated):
 def asymptotic_variance(T: MeasureFunctional, F: Distribution) -> float:
     """sigma^2 = integral of IF(x)^2 dF(x), atoms included exactly.
 
-    The quadruple family on a parametric model takes the moment route
-    (`_moment_variance`) where the model has the closed moments it reads
-    and the route is well conditioned; there a truly infinite variance
-    raises MomentDiverges at once. Everything else takes the IF^2
-    quadrature (`_quadrature_variance`).
+    On a parametric model three closed routes read moments instead of
+    integrating IF^2: the quadruple family (`_moment_variance`), the Gini
+    on the exponential, Pareto and uniform laws (`_gini_variance`) and the
+    QSR (`_qsr_variance`). Each serves a cell where the model has the
+    closed forms it reads and the route is well conditioned; there a truly
+    infinite variance raises MomentDiverges at once. Everything else takes
+    the IF^2 quadrature (`_quadrature_variance`).
     """
-    if T.kind == "theil_like" and not isinstance(F, (Empirical, Contaminated)):
-        sigma2 = _moment_variance(T.spec, F)
-        if sigma2 is not None:
-            return sigma2
-    return _quadrature_variance(T, F)
+    sigma2 = None
+    if not isinstance(F, (Empirical, Contaminated)):
+        if T.kind == "theil_like":
+            sigma2 = _moment_variance(T.spec, F)
+        elif T.kind == "gini":
+            sigma2 = _gini_variance(F)
+        elif T.kind == "qsr":
+            sigma2 = _qsr_variance(F)
+    return _quadrature_variance(T, F) if sigma2 is None else sigma2
 
 
 def _quadrature_variance(T: MeasureFunctional, F: Distribution) -> float:
-    """sigma^2 as the integral of IF^2. On a continuous model this is the
-    quantile form integral of IF(Q(p))^2 over p in [0, 1]. The QSR's IF
-    kinks at the quintile boundaries, which sit at exactly p = 0.2 and
+    """sigma^2 as the integral of IF^2, for the cells no closed route
+    serves: the Gini on the lognormal and Singh-Maddala laws, Kolm on the
+    Pareto, lognormal and Singh-Maddala laws, the atomic kinds, custom
+    functionals and ill-conditioned cells. On a continuous model this is
+    the quantile form integral of IF(Q(p))^2 over p in [0, 1]. The QSR's
+    IF kinks at the quintile boundaries, which sit at exactly p = 0.2 and
     0.8, so its integral is split there: the pieces [0, 0.2] and [0.8, 1]
     together, then [0.2, 0.8]. The atomic kinds (Empirical, Contaminated)
     sum over their atoms instead. Heavy-tail divergence surfaces as
@@ -362,13 +379,25 @@ def _quadrature_variance(T: MeasureFunctional, F: Distribution) -> float:
     return F.expect(square)
 
 
-# The moment route serves a cell only where sum |terms| / sigma^2 is below
+# A closed route serves a cell only where sum |terms| / sigma^2 is below
 # this bound. Each closed moment is good to a few units in the last place,
 # so the route's relative error is at most about 5e-16 times that ratio
 # (measured against 30-digit mpmath on exp, Pareto, lognormal,
 # Singh-Maddala and uniform cells): 5e-11 at the bound, under the 1e-9
 # target of the quadrature it replaces.
 _CONDITION_BOUND = 1e5
+
+
+def _conditioned_sum(terms) -> Optional[float]:
+    """The exact sum of terms, or None where it is ill conditioned (past
+    `_CONDITION_BOUND`) or a term is out of the float range."""
+    try:
+        total = math.fsum(terms)
+        well_conditioned = total * _CONDITION_BOUND > math.fsum(
+            map(abs, terms))
+    except (OverflowError, ValueError):  # a term out of the float range
+        return None
+    return total if well_conditioned else None
 
 
 def _variance_keys(h_key: str):
@@ -386,48 +415,138 @@ def _variance_keys(h_key: str):
             "neglog": ("powlog:0.0", "powlog2:0.0", "powlog:1.0", -1.0)}[name]
 
 
-def _moment_variance(spec, F: Distribution) -> Optional[float]:
-    """sigma^2 of a quadruple member from five moments, or None where the
-    model has no closed form for one of them or the route is ill
-    conditioned. Theorem 1 makes the IF affine, A (z - mu) + B (h(z) - E h)
-    with A and B from `_theorem1`, so
+def _affine_variance(G: Distribution, h_key: str, coefficients,
+                     label: str) -> Optional[float]:
+    """sigma^2 of an IF that is affine in (z, h(z)), A z + B h(z) + const
+    with E IF = 0, from five closed moments of G, or None where G has no
+    closed form for one of them or the sum is ill conditioned.
+    `coefficients(mu, E h)` gives (A, B), and
 
       sigma^2 = A^2 Var X + 2 A B Cov(X, h(X)) + B^2 Var h(X),
 
     which reads E X^2, E h(X)^2 and E X h(X) besides mu and E h (Cowell &
-    Flachaire 2007), each from its closed form. One outside its form's
-    domain is infinite, and so is sigma^2: A and B are nonzero, IF^2 grows
-    as fast as X^2 and h(X)^2 do, and E X h(X) is finite where both of
-    those are. That raises MomentDiverges before any quadrature runs. The
-    scale-invariant members (all but Kolm) are computed on the unit-mean
-    law X/mu, whose sigma^2 is the same: no log-scale term then swamps the
-    others. Near equality the terms cancel; past `_CONDITION_BOUND` the
-    IF^2 quadrature answers instead.
+    Flachaire 2007). One outside its form's domain is infinite, and so is
+    sigma^2 where A and B are nonzero: IF^2 grows as fast as X^2 and
+    h(X)^2 do, and E X h(X) is finite where both of those are. That
+    raises MomentDiverges, naming `label`, before any quadrature runs.
     """
-    eh_key, square_key, cross_key, sign = _variance_keys(spec.h_key)
-    G = F if spec.family == "kolm" else scaled(F, 1.0 / F.mean())
+    eh_key, square_key, cross_key, sign = _variance_keys(h_key)
     try:
         moments = [G._closed_moment(k)
                    for k in (eh_key, "pow:2.0", square_key, cross_key)]
     except MomentDiverges as exc:
-        raise MomentDiverges(f"sigma^2 is infinite for {spec.measure_id} "
-                             f"on {F.descriptor()}: {exc}") from None
+        raise MomentDiverges(
+            f"sigma^2 is infinite for {label}: {exc}") from None
     if None in moments:
         return None
     eh, e_x2, e_h2, e_xh = moments
     eh, e_xh = sign * eh, sign * e_xh
     mu = G.mean()
-    slope, level = _theorem1(spec, mu, eh)
-    terms = (slope * slope * e_x2, -slope * slope * mu * mu,
-             2.0 * slope * level * e_xh, -2.0 * slope * level * mu * eh,
-             level * level * e_h2, -level * level * eh * eh)
-    try:
-        sigma2 = math.fsum(terms)
-        well_conditioned = sigma2 * _CONDITION_BOUND > math.fsum(
-            map(abs, terms))
-    except (OverflowError, ValueError):  # a term out of the float range
+    slope, level = coefficients(mu, eh)
+    return _conditioned_sum((
+        slope * slope * e_x2, -slope * slope * mu * mu,
+        2.0 * slope * level * e_xh, -2.0 * slope * level * mu * eh,
+        level * level * e_h2, -level * level * eh * eh))
+
+
+def _moment_variance(spec, F: Distribution) -> Optional[float]:
+    """sigma^2 of a quadruple member from five moments, or None where the
+    model has no closed form for one of them or the route is ill
+    conditioned. Theorem 1 makes the IF affine, A (z - mu) + B (h(z) - E h)
+    with A and B from `_theorem1`: `_affine_variance` sums it. The
+    scale-invariant members (all but Kolm) are computed on the unit-mean
+    law X/mu, whose sigma^2 is the same: no log-scale term then swamps the
+    others. Near equality the terms cancel; past `_CONDITION_BOUND` the
+    IF^2 quadrature answers instead.
+    """
+    G = F if spec.family == "kolm" else scaled(F, 1.0 / F.mean())
+    return _affine_variance(G, spec.h_key,
+                            lambda mu, eh: _theorem1(spec, mu, eh),
+                            f"{spec.measure_id} on {F.descriptor()}")
+
+
+def _integrated_cdf(G: Distribution):
+    """(a1, b, h_key) with g(z) = z F(z) - E[X 1{X <= z}], the integral of
+    F over [0, z], equal to a1 z + b h(z) + const on the support of G, for
+    h the moment key h_key names; None on a kind without such a form.
+
+      exponential(l):  g = z - (1 - e^{-l z})/l        h = e^{-l z}
+      Pareto(k, s):    g = z - s k/(k-1) + s^k z^{1-k}/(k-1)   h = z^{1-k}
+      uniform(lo, hi): g = (z - lo)^2/(2 (hi - lo))    h = z^2
+    """
+    if isinstance(G, Exponential):
+        return 1.0, 1.0 / G.rate, f"expneg:{G.rate!r}"
+    if isinstance(G, Pareto):
+        k, s = G.shape, G.scale
+        return 1.0, s ** k / (k - 1.0), f"pow:{1.0 - k!r}"
+    if isinstance(G, Uniform):
+        d = G.hi - G.lo
+        return -G.lo / d, 0.5 / d, "pow:2.0"
+    return None
+
+
+def _gini_variance(F: Distribution) -> Optional[float]:
+    """sigma^2 of the Gini on the exponential, Pareto and uniform laws, or
+    None (the other kinds, or an ill-conditioned cell). The Gini's IF is
+
+      2 [R - C(F, F(z))/mu + (z/mu) (R - (1 - F(z)))]
+        = 2 [R + z (R - 1)/mu + g(z)/mu],   g(z) = z F(z) - E[X 1{X <= z}],
+
+    and on these laws g is a1 z + b h(z) + const (`_integrated_cdf`), so the
+    IF is A z + B h(z) + const with A = 2 (R - 1 + a1)/mu and B = 2 b/mu,
+    and `_affine_variance` sums it. It is computed on the unit-mean law
+    X/mu, as the Gini is scale invariant. On the lognormal and the
+    Singh-Maddala, E h(X)^2 and E X h(X) have no closed form here.
+    """
+    G = scaled(F, 1.0 / F.mean())
+    parts = _integrated_cdf(G)
+    if parts is None:
         return None
-    return sigma2 if well_conditioned else None
+    a1, b, h_key = parts
+    r = lorenz_area(G)
+    return _affine_variance(G, h_key,
+                            lambda mu, eh: (2.0 * (r - 1.0 + a1) / mu,
+                                            2.0 * b / mu),
+                            f"gini on {F.descriptor()}")
+
+
+def _qsr_variance(F: Distribution) -> Optional[float]:
+    """sigma^2 of the QSR on a parametric law from its partial moments, or
+    None where the model has no closed E[X^2 1{X <= t}] or the sum is ill
+    conditioned. With r = N/D, the IF is piecewise affine,
+
+      IF(z) = c + (r/D) (q1 - z)_+ + (z - q4)_+/D,
+
+    c its middle piece (0.2 q4 - 0.2 q1 r)/D. E IF = 0 makes c minus the
+    mean of the rest, and the two ramps never overlap, so
+
+      sigma^2 = [r^2 E(q1 - X)_+^2 + E(X - q4)_+^2]/D^2 - c^2,
+
+    with the stop-loss moments (`Distribution.partial_second_moment`)
+      E(q1 - X)_+^2 = 0.2 q1^2 - 2 q1 D + E[X^2 1{X <= q1}],
+      E(X - q4)_+^2 = E X^2 - E[X^2 1{X <= q4}] - 2 q4 N + 0.2 q4^2.
+    E X^2 is the only moment that can be infinite; where it is, so is
+    sigma^2, and MomentDiverges is raised. It is computed on the unit-mean
+    law X/mu, as the QSR is scale invariant.
+    """
+    G = scaled(F, 1.0 / F.mean())
+    try:
+        e_x2 = G._closed_moment("pow:2.0")
+    except MomentDiverges as exc:
+        raise MomentDiverges(f"sigma^2 is infinite for qsr on "
+                             f"{F.descriptor()}: {exc}") from None
+    if e_x2 is None:  # out of the float range
+        return None
+    n, d, q1, q4 = qsr_components(G)
+    m2_q1, m2_q4 = G.partial_second_moment(q1), G.partial_second_moment(q4)
+    if m2_q1 is None or m2_q4 is None:
+        return None
+    r = n / d
+    # the two stop-loss moments and c^2 = 0.04 (q4 - r q1)^2, expanded
+    total = _conditioned_sum((
+        0.16 * r * r * q1 * q1, -2.0 * r * r * q1 * d, r * r * m2_q1,
+        e_x2, -m2_q4, -2.0 * q4 * n, 0.16 * q4 * q4, 0.08 * r * q1 * q4))
+    return None if total is None else total / (d * d)
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,18 @@ class TestExitCodes:
             sigma2.append(payload["results"][0]["sigma2"])
         assert sigma2[0] == pytest.approx(sigma2[1], rel=2e-14, abs=0)
 
+    def test_gini_and_qsr_variances_near_the_second_moment_boundary(
+            self, capsys):
+        # both finite (E X^2 exists for k > 2), but the IF^2 quadrature
+        # raised NonConvergence here; the references are 30-digit mpmath
+        rc, payload = _json_run(["variance", "--ids", "gini,qsr", "--dist",
+                                 "pareto:2.05,1"], capsys)
+        assert rc == 0
+        gini_row, qsr_row = payload["results"]
+        assert gini_row["sigma2"] == pytest.approx(4.31779145719194688,
+                                                   rel=1e-10)
+        assert qsr_row["sigma2"] == pytest.approx(819.24431670467, rel=1e-10)
+
     def test_overflowing_measure_prints_only_its_error(self):
         # h1(mu) = mu^-2 overflows while T(F) is built
         proc = _run_cli("measure --ids ge:-2 --dist dirac:1e-300".split())

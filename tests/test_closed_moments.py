@@ -213,3 +213,34 @@ def test_near_equality_log_measures_keep_their_precision(mid):
     w = F.hi - F.lo
     exact = w * w / (24.0 * F.mean() ** 2)
     assert parse_measure_id(mid).evaluate(F) == pytest.approx(exact, rel=1e-3)
+
+
+# levels of t: the QSR's quintiles, the ends, and the exponential's switch
+# from its series to the closed difference at rate * t = 2
+PARTIAL_LEVELS = (0.001, 0.2, 0.5, 0.8, 0.999)
+
+
+@pytest.mark.parametrize("spec", UNIT_FLEET + ("sm:2,1,1.05",
+                                               "pareto:2.05,1"))
+@pytest.mark.parametrize("p", PARTIAL_LEVELS)
+def test_partial_second_moment_matches_the_density(spec, p, density_expect):
+    F = parse_distribution(spec)
+    t = F.quantile(p)
+    want = density_expect(F, lambda x: x * x, upper=t)
+    assert F.partial_second_moment(t) == pytest.approx(want, rel=1e-9)
+
+
+def test_partial_second_moment_at_the_support_ends():
+    for spec in UNIT_FLEET:
+        F = parse_distribution(spec)
+        assert F.partial_second_moment(F.lep) == 0.0
+        assert F.partial_second_moment(math.inf) == pytest.approx(
+            F._closed_moment("pow:2.0"), rel=1e-15)
+    # the exponential's series and closed difference meet at rate * t = 2
+    F = parse_distribution("exp:1")
+    below, above = (F.partial_second_moment(math.nextafter(2.0, side))
+                    for side in (0.0, 3.0))
+    assert below == pytest.approx(above, rel=1e-15)
+    # no closed form where E X^2 is infinite, nor on an atomic kind
+    assert parse_distribution("sm:2,1,0.95").partial_second_moment(1.0) is None
+    assert parse_distribution("dirac:1").partial_second_moment(1.0) is None

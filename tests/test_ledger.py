@@ -15,16 +15,26 @@ every other row must differ somewhere.
 The asymptotic variance's algebra is checked the same way: each member's
 declared h1'/h1, the IF as A (z - mu) + B (h(z) - m) with A and B formed
 as the code forms them, sigma^2 as a quadratic form in five moments, and
-each closed log-power moment as a c-derivative of its kind's E X^c.
+each closed log-power moment as a c-derivative of its kind's E X^c. So are
+the Gini's and the QSR's closed routes: the Gini's IF as A z + B h(z) +
+const on the exponential, Pareto and uniform laws, the QSR's IF as a
+constant plus two ramps on each of its three pieces, and the QSR's
+sigma^2 as the terms the code sums.
 """
 import re
 
 import pytest
 
-from ineqif import printed_variants
+import numpy as np
+
+from ineqif import parse_measure_id, printed_variants
 from ineqif.cli import parse_distribution
-from ineqif.influence import _theorem1
-from ineqif.measures import make_spec
+from ineqif.influence import (
+    _closed_if_vectorized,
+    _integrated_cdf,
+    _theorem1,
+)
+from ineqif.measures import make_spec, qsr_components
 
 sympy = pytest.importorskip("sympy")
 
@@ -243,3 +253,88 @@ def test_x_expneg_is_minus_the_t_derivative_of_expneg(spec, tv):
     exact = -sympy.diff(EXPNEG[spec], t).subs(t, sympy.nsimplify(tv))
     got = F._closed_form("xexpneg", tv)
     assert got == pytest.approx(float(sympy.N(exact, 30)), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The Gini's and the QSR's closed variance routes
+# ---------------------------------------------------------------------------
+
+x = sympy.Symbol("x", positive=True)
+# (density, lower end of the support) at parameters exact in binary
+GINI_LAWS = {
+    "exp:1.5": (sympy.Rational(3, 2) * exp(-sympy.Rational(3, 2) * x), 0),
+    "pareto:3.5,2": (sympy.Rational(7, 2) * 2 ** sympy.Rational(7, 2)
+                     * x ** -sympy.Rational(9, 2), 2),
+    "uniform:0.5,2": (sympy.Rational(2, 3), sympy.Rational(1, 2)),
+}
+
+
+def _h_of_key(key):
+    name, _, arg = key.partition(":")
+    c = sympy.nsimplify(float(arg))
+    return exp(-c * z) if name == "expneg" else z ** c
+
+
+@pytest.mark.parametrize("spec", sorted(GINI_LAWS))
+def test_gini_if_is_affine_in_z_and_the_declared_h(spec):
+    density, lo = GINI_LAWS[spec]
+    F_z = sympy.integrate(density, (x, lo, z))
+    C_z = sympy.integrate(x * density, (x, lo, z))
+    mean = sympy.integrate(x * density, (x, lo, sympy.oo))
+    a1_code, b_code, h_key = _integrated_cdf(parse_distribution(spec))
+    h = _h_of_key(h_key)
+    # g = z F(z) - C(z) = a1 z + b h(z) + const: b = g''/h'', a1 = g' - b h'
+    g = z * F_z - C_z
+    b_exact = sympy.simplify(sympy.diff(g, z, 2) / sympy.diff(h, z, 2))
+    a1_exact = sympy.simplify(sympy.diff(g, z) - b_exact * sympy.diff(h, z))
+    assert not (b_exact.free_symbols or a1_exact.free_symbols)
+    assert a1_code == pytest.approx(float(a1_exact), rel=1e-15, abs=1e-15)
+    assert b_code == pytest.approx(float(b_exact), rel=1e-15)
+    # the Gini's IF minus A z + B h(z), with A = 2 (R - 1 + a1)/mu and
+    # B = 2 b/mu as `influence._gini_variance` forms them, is constant in z
+    gini_if = 2 * (R - C_z / mean + (z / mean) * (R - (1 - F_z)))
+    affine = (2 * (R - 1 + a1_exact) / mean * z
+              + 2 * b_exact / mean * h)
+    assert _is_zero(sympy.diff(gini_if - affine, z))
+
+
+q1, q4, N, D = sympy.symbols("q1 q4 N D", positive=True)
+# the QSR's IF pieces as `influence._closed_if_vectorized` displays them
+QSR_PIECES = ((-z * N + q4 * D / 5 + 4 * q1 * N / 5) / D ** 2,
+              (q4 * D / 5 - q1 * N / 5) / D ** 2,
+              (z * D - 4 * q4 * D / 5 - q1 * N / 5) / D ** 2)
+QSR_C = QSR_PIECES[1]
+
+
+def test_qsr_if_is_a_constant_and_two_ramps_on_each_piece():
+    r = N / D
+    # (q1 - z)_+ and (z - q4)_+ on [0, q1], (q1, q4) and [q4, inf)
+    ramps = ((q1 - z, 0), (0, 0), (0, z - q4))
+    for piece, (low, high) in zip(QSR_PIECES, ramps):
+        assert _is_zero(piece - (QSR_C + r / D * low + high / D))
+    # and the code's kernel is this form at a point of each piece
+    F = parse_distribution("pareto:3.5,2")
+    n, d, t1, t4 = qsr_components(F)
+    zs = np.array([0.5 * (F.lep + t1), 0.5 * (t1 + t4), 2.0 * t4])
+    c = (0.2 * t4 - 0.2 * t1 * n / d) / d
+    form = c + n / d / d * np.maximum(t1 - zs, 0) + np.maximum(zs - t4, 0) / d
+    kernel = _closed_if_vectorized(parse_measure_id("qsr"), F)
+    np.testing.assert_allclose(kernel(zs), form, rtol=1e-13)
+
+
+def test_qsr_variance_is_the_sum_of_its_terms():
+    # the truncated moments below q1 (mass 1/5, D, M1 = E[X^2 1{X <= q1}])
+    # and above q4 (mass 1/5, N, E X^2 - M4)
+    ex2, m1, m4 = sympy.symbols("ex2 m1 m4", positive=True)
+    r = N / D
+    below = q1 ** 2 / 5 - 2 * q1 * D + m1     # E(q1 - X)_+^2
+    above = (ex2 - m4) - 2 * q4 * N + q4 ** 2 / 5  # E(X - q4)_+^2
+    # E IF = 0: c is minus the mean of the two ramps
+    assert _is_zero(QSR_C + r / D * (q1 / 5 - D) + (N - q4 / 5) / D)
+    sigma2 = (r ** 2 * below + above) / D ** 2 - QSR_C ** 2
+    # the terms `influence._qsr_variance` sums, over D^2
+    terms = (sympy.Rational(16, 100) * r * r * q1 * q1, -2 * r * r * q1 * D,
+             r * r * m1, ex2, -m4, -2 * q4 * N,
+             sympy.Rational(16, 100) * q4 * q4,
+             sympy.Rational(8, 100) * r * q1 * q4)
+    assert _is_zero(sigma2 - sum(terms) / D ** 2)
