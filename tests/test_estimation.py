@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ineqif import (
     DEFAULT_MEASURE_IDS,
@@ -19,8 +21,44 @@ from ineqif import (
     parse_measure_id,
     sensitivity_curve,
 )
+from ineqif import estimation
 from ineqif.cli import parse_distribution
 from ineqif.errors import DegenerateDenominator, DomainError, InvalidParameter
+from ineqif.estimation import _philox_keys
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("seed, stream_id", [
+        (-1, 0), (0, -1), (1.0, 0), (0, 2.0), (True, 0), (0, False),
+        ("1", 0), (None, 0)])
+    def test_rejects_other_than_non_negative_ints(self, seed, stream_id):
+        with pytest.raises(InvalidParameter, match="non-negative integer"):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        rng = RngStream(np.int64(3), np.uint32(2))
+        assert rng == RngStream(3, 2)
+        assert type(rng.seed) is int and type(rng.stream_id) is int
+
+    def test_substream_below_zero_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="stream_id"):
+            RngStream(3, 2).substream(-3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 160 - 1),
+       ids=st.lists(st.integers(0, 2 ** 40 - 1), min_size=1, max_size=6))
+@example(seed=0, ids=[0, 2 ** 32 - 1, 2 ** 32])
+@example(seed=2 ** 160 - 1, ids=[2 ** 32, 0, 2 ** 32 - 1])
+@example(seed=7, ids=[2 ** 64, 2 ** 96 + 5, 1])
+def test_philox_keys_are_numpys_seed_sequence_keys(seed, ids):
+    # seeds past 2**128 carry more than the pool's four words of entropy;
+    # ids from 2**32 on have a two-word spawn key
+    want = [np.random.SeedSequence(seed, spawn_key=(sid,))
+            .generate_state(2, np.uint64) for sid in ids]
+    got = _philox_keys(seed, ids)
+    assert got.dtype == np.uint64 and got.shape == (len(ids), 2)
+    assert got.tolist() == np.array(want).tolist()
 
 
 class TestDrawSample:
@@ -113,6 +151,24 @@ class TestMcVarianceStudy:
         a = mc_variance_study(T, F, 500, 20, RngStream(11))
         b = mc_variance_study(T, F, 500, 20, RngStream(11))
         assert a == b
+
+    def test_golden_stream_derivation(self):
+        # pinned before the streams were keyed in one pass; the replica ids
+        # cross 2**32, where the spawn key grows to two words
+        report = mc_variance_study(parse_measure_id("mld"),
+                                   parse_distribution("exp:1"), 1000, 23,
+                                   RngStream(7, 2 ** 32 - 12))
+        assert report.mc_variance == 0.4671365722157146
+
+    def test_no_generator_built_without_rejections(self, monkeypatch):
+        def refused(self):
+            raise AssertionError(f"generator built for {self}")
+
+        monkeypatch.setattr(RngStream, "generator", refused)
+        report = mc_variance_study(parse_measure_id("gini"),
+                                   parse_distribution("exp:1"), 1000, 23,
+                                   RngStream(5))
+        assert report.rejections == 0
 
     def test_needs_two_replicas(self):
         with pytest.raises(InvalidParameter):
@@ -207,11 +263,16 @@ class TestStudyInBlocks:
                                  r"empirical:n=1000$"):
             mc_variance_study(T, F, 1000, 23, RngStream(3))
 
+    @pytest.mark.parametrize("key_chunk", [estimation._KEY_CHUNK, 7])
+    @pytest.mark.parametrize("rng", [RngStream(1, 7),
+                                     RngStream(7, 2 ** 32 - 12)])
     @pytest.mark.parametrize("dist", ["exp:1", "lognormal:0,0.5", "sm:3,1,3",
                                       "uniform:0.2,1.4", "pareto:4,1"])
-    def test_one_evaluation_per_block_of_drawn_samples(self, dist,
-                                                       monkeypatch):
-        # each row is bit for bit the sample draw_sample draws on its stream
+    def test_one_evaluation_per_block_of_drawn_samples(self, dist, rng,
+                                                       key_chunk, monkeypatch):
+        # each row is bit for bit the sample draw_sample draws on its stream,
+        # also where the keys are derived a few streams per call
+        monkeypatch.setattr(estimation, "_KEY_CHUNK", key_chunk)
         evaluate = MeasureFunctional.evaluate
         blocks = []
 
@@ -221,7 +282,7 @@ class TestStudyInBlocks:
             return evaluate(T, F)
 
         monkeypatch.setattr(MeasureFunctional, "evaluate", spy)
-        F, rng = parse_distribution(dist), RngStream(1, 7)
+        F = parse_distribution(dist)
         report = mc_variance_study(parse_measure_id("gini"), F, 1000, 23, rng)
         assert report.rejections == 0
         assert [b.shape for b in blocks] == [(10, 1000), (10, 1000), (3, 1000)]
