@@ -10,23 +10,23 @@ through atoms, no quadrature). The parametric kinds also state the
 partial second moment E[X^2 1{X <= t}], which the QSR's variance reads.
 
 A parametric model answers a keyed moment from its closed form first
-(`_moment`): E X^c on every kind, E log X and E X log X on every kind but
-the uniform (there they would cancel near equality), E e^{-aX} on the
-exponential and the uniform, and the Gini's first moment E[X F(X)]. The
-asymptotic variances read three more forms (`_closed_moment`): the
-log-power moments E X^c log X and E X^c log^2 X, the first two
-c-derivatives of E X^c, on every kind, and E X e^{-aX} on the exponential
-and the uniform. Outside a form's domain the moment is infinite, and
-`_closed_moment` raises MomentDiverges. Outside the domain, and for every
-other expectation, `expect` computes the moment in probability space,
-in the quantile form E g(X) = integral over p in [0, 1] of g(Q(p)), on
-finite intervals only; that quadrature also raises where a moment
-diverges. The upper half reads the inverse survival
-function Q(1-s) (`isf_array`), so 1-s never rounds to 1 in the tail, and
-both ends are graded as p = u**8, which makes power-law ends regular
-integrands. The quantile carries the scale, so the quadrature nodes do not
-depend on it. Every such integral runs at `integrate`'s one error target,
-so a cached moment is keyed by its integrand alone.
+(`_moment`): E X^c, E log X and E X log X on every kind (on the uniform
+centred on the mean, so that they keep their precision near equality),
+E e^{-aX} on the exponential and the uniform, and the Gini's first
+moment E[X F(X)]. The asymptotic variances read three more forms
+(`_closed_moment`): the log-power moments E X^c log X and E X^c log^2 X,
+the first two c-derivatives of E X^c, on every kind, and E X e^{-aX} on
+the exponential and the uniform. Outside a form's domain the moment is
+infinite, and `_closed_moment` raises MomentDiverges. Outside the domain,
+and for every other expectation, `expect` computes the moment in
+probability space, in the quantile form E g(X) = integral over p in [0, 1]
+of g(Q(p)), on finite intervals only; that quadrature also raises where a
+moment diverges. The upper half reads the inverse survival function Q(1-s)
+(`isf_array`), so 1-s never rounds to 1 in the tail, and both ends are
+graded as p = u**8, which makes power-law ends regular integrands. The
+quantile carries the scale, so the quadrature nodes do not depend on it.
+Every such integral runs at `integrate`'s one error target, so a cached
+moment is keyed by its integrand alone.
 
 Mixtures keep their atom explicit: expectations over a contaminated
 distribution decompose exactly as (1-eps)*E[g] + eps*g(z), never through
@@ -97,6 +97,39 @@ def _ncdf_array(u: np.ndarray) -> np.ndarray:
     w = -u * _SQRT_HALF
     return 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), float,
                              count=w.size).reshape(w.shape)
+
+
+def _ncdf(u: float) -> float:
+    """Standard normal cdf of a float, through the stdlib's erfc."""
+    return 0.5 * math.erfc(-u * _SQRT_HALF)
+
+
+# Plackett's identity at correlation 1/2: with r = sin(theta),
+#   Phi2(h, k; 1/2) = Phi(h) Phi(k) + 1/(2 pi) * integral over [0, pi/6]
+#                     of exp(-(h^2 - 2 h k sin(theta) + k^2)/(2 cos^2(theta))),
+# an integrand analytic well beyond the interval, which the 12-node
+# Gauss-Legendre rule (Drezner & Wesolowsky 1990; Genz 2004) integrates to
+# within 5e-15 of Phi2, relative, for h, k in [-6, 6] (against mpmath).
+# The positive nodes and their weights on [-1, 1]:
+_GL12_NODES = (0.9815606342467192, 0.9041172563704749, 0.7699026741943047,
+               0.5873179542866175, 0.3678314989981802, 0.1252334085114689)
+_GL12_WEIGHTS = (0.04717533638651183, 0.10693932599531843,
+                 0.16007832854334622, 0.20316742672306592,
+                 0.2334925365383548, 0.24914704581340277)
+# (weight/(2 pi), sin(theta), 2 cos^2(theta)) at each node mapped to
+# [0, pi/6]
+_PLACKETT_HALF = tuple(
+    (w / 24.0, math.sin(theta), 2.0 * math.cos(theta) ** 2)
+    for x, w in zip(_GL12_NODES, _GL12_WEIGHTS)
+    for theta in (math.pi / 12.0 * (1.0 - x), math.pi / 12.0 * (1.0 + x)))
+
+
+def _ncdf2_half(h: float, k: float) -> float:
+    """Phi2(h, k; 1/2) = P(Z1 <= h, Z2 <= k) for standard normals of
+    correlation 1/2, by Plackett's identity (above): no scipy."""
+    hk2, hh_kk = 2.0 * h * k, h * h + k * k
+    return _ncdf(h) * _ncdf(k) + math.fsum(
+        w * math.exp((hk2 * s - hh_kk) / c2) for w, s, c2 in _PLACKETT_HALF)
 
 
 def _probit(ps: np.ndarray) -> np.ndarray:
@@ -556,8 +589,7 @@ class LogNormal(Distribution):
             return 0.0
         m, sigma = self.log_mean, self.sigma
         u = (math.log(t) - m - 2.0 * sigma * sigma) / sigma
-        return math.exp(2.0 * (m + sigma * sigma)) * 0.5 * math.erfc(
-            -u * _SQRT_HALF)
+        return math.exp(2.0 * (m + sigma * sigma)) * _ncdf(u)
 
     def _closed_form(self, name, c):
         # E X^c = exp(c m + c^2 sigma^2/2): its log has the c-derivatives
@@ -700,6 +732,47 @@ def _uniform_log_power(name: str, t: float, x: float) -> float:
     return x ** t * (u if name == "powlog" else u * u + 1.0 / (t * t)) / t
 
 
+# `_uniform_log_offset` sums its series below this delta and takes the
+# closed difference above it, where the difference keeps the offset within
+# 1e-14 relative (against mpmath)
+_LOG_SERIES_BELOW = 0.5
+
+
+def _uniform_log_offset(name: str, lo: float, hi: float) -> float:
+    """E log X - log mu (`log`) or E X log X/mu - log mu (`xlogx`) on
+    uniform(lo, hi). With X = mu (1 + d U), U uniform on [-1, 1] and
+    d = delta = (hi - lo)/(hi + lo), they are
+
+      c0 = E log(1 + d U) = [(1+d) log(1+d) - (1-d) log(1-d)]/(2d) - 1
+         = -sum_k d^(2k)/(2k (2k + 1)),
+      c1 = E (1 + d U) log(1 + d U)
+         = [(1+d)^2 log(1+d) - (1-d)^2 log(1-d)]/(4d) - 1/2
+         = sum_j d^(2j)/(2j (2j - 1) (2j + 1)).
+
+    Near equality the closed differences cancel, so below
+    `_LOG_SERIES_BELOW` the even series is summed instead. Above it the
+    ends 1 -+ d are read as 2 lo/(lo + hi) and 2 hi/(lo + hi), exact to
+    rounding at any lo/hi, and (1 - d)^j log(1 - d) is 0 at lo = 0."""
+    delta = (hi - lo) / (hi + lo)
+    if delta < _LOG_SERIES_BELOW:
+        d2 = delta * delta
+        power, total, k = 1.0, 0.0, 0
+        while True:
+            power *= d2
+            k += 2
+            term = power / (k * (k + 1) if name == "log"
+                            else k * (k - 1) * (k + 1))
+            total += term
+            if term <= 1e-17 * total:
+                break
+        return -total if name == "log" else total
+    lower, upper = 2.0 * lo / (lo + hi), 2.0 * hi / (lo + hi)
+    j = 1 if name == "log" else 2
+    low_end = lower ** j * math.log(lower) if lower > 0.0 else 0.0
+    return (upper ** j * math.log(upper) - low_end) / (2 * j * delta) \
+        - 1.0 / j
+
+
 @dataclass(frozen=True)
 class Uniform(Distribution):
     lo: float = 0.0
@@ -744,10 +817,15 @@ class Uniform(Distribution):
         return (t - lo) / (hi - lo) * ((t * t + t * lo + lo * lo) / 3.0)
 
     def _closed_form(self, name, c):
-        # E log X and E X log X have none here that keeps its precision
-        # near equality: the measures read their difference from log mu
         lo, hi = self.lo, self.hi
         d = hi - lo
+        if name in ("log", "xlogx"):
+            # centred on the mean: the measures read their difference from
+            # log mu, which `_uniform_log_offset` keeps at any width
+            mu = 0.5 * (lo + hi)
+            offset = _uniform_log_offset(name, lo, hi)
+            return (math.log(mu) + offset if name == "log"
+                    else mu * (math.log(mu) + offset))
         if name == "pow":
             # (hi^t - lo^t)/(t d) with t = c + 1, factored out of the end
             # whose power dominates, so the expm1 argument stays <= 0: it

@@ -23,8 +23,12 @@ from .distributions import (
     Distribution,
     Empirical,
     Exponential,
+    LogNormal,
     Pareto,
     Uniform,
+    _SQRT_HALF,
+    _ncdf,
+    _ncdf2_half,
     scaled,
 )
 from .errors import (
@@ -342,11 +346,12 @@ def asymptotic_variance(T: MeasureFunctional, F: Distribution) -> float:
 
     On a parametric model three closed routes read moments instead of
     integrating IF^2: the quadruple family (`_moment_variance`), the Gini
-    on the exponential, Pareto and uniform laws (`_gini_variance`) and the
-    QSR (`_qsr_variance`). Each serves a cell where the model has the
-    closed forms it reads and the route is well conditioned; there a truly
-    infinite variance raises MomentDiverges at once. Everything else takes
-    the IF^2 quadrature (`_quadrature_variance`).
+    on the exponential, Pareto, uniform and lognormal laws
+    (`_gini_variance`) and the QSR (`_qsr_variance`). Each serves a cell
+    where the model has the closed forms it reads and the route is well
+    conditioned; there a truly infinite variance raises MomentDiverges at
+    once. Everything else takes the IF^2 quadrature
+    (`_quadrature_variance`).
     """
     sigma2 = None
     if not isinstance(F, (Empirical, Contaminated)):
@@ -361,8 +366,8 @@ def asymptotic_variance(T: MeasureFunctional, F: Distribution) -> float:
 
 def _quadrature_variance(T: MeasureFunctional, F: Distribution) -> float:
     """sigma^2 as the integral of IF^2, for the cells no closed route
-    serves: the Gini on the lognormal and Singh-Maddala laws, Kolm on the
-    Pareto, lognormal and Singh-Maddala laws, the atomic kinds, custom
+    serves: the Gini on the Singh-Maddala law, Kolm on the Pareto,
+    lognormal and Singh-Maddala laws, the atomic kinds, custom
     functionals and ill-conditioned cells. On a continuous model this is
     the quantile form integral of IF(Q(p))^2 over p in [0, 1]. The QSR's
     IF kinks at the quintile boundaries, which sit at exactly p = 0.2 and
@@ -486,19 +491,24 @@ def _integrated_cdf(G: Distribution):
 
 
 def _gini_variance(F: Distribution) -> Optional[float]:
-    """sigma^2 of the Gini on the exponential, Pareto and uniform laws, or
-    None (the other kinds, or an ill-conditioned cell). The Gini's IF is
+    """sigma^2 of the Gini on the exponential, Pareto, uniform and
+    lognormal laws, or None (the Singh-Maddala, or an ill-conditioned
+    cell). The Gini's IF is
 
       2 [R - C(F, F(z))/mu + (z/mu) (R - (1 - F(z)))]
         = 2 [R + z (R - 1)/mu + g(z)/mu],   g(z) = z F(z) - E[X 1{X <= z}],
 
-    and on these laws g is a1 z + b h(z) + const (`_integrated_cdf`), so the
-    IF is A z + B h(z) + const with A = 2 (R - 1 + a1)/mu and B = 2 b/mu,
-    and `_affine_variance` sums it. It is computed on the unit-mean law
-    X/mu, as the Gini is scale invariant. On the lognormal and the
-    Singh-Maddala, E h(X)^2 and E X h(X) have no closed form here.
+    and on the first three laws g is a1 z + b h(z) + const
+    (`_integrated_cdf`), so the IF is A z + B h(z) + const with
+    A = 2 (R - 1 + a1)/mu and B = 2 b/mu, and `_affine_variance` sums it.
+    The lognormal has its own sum (`_lognormal_gini_variance`). It is
+    computed on the unit-mean law X/mu, as the Gini is scale invariant. On
+    the Singh-Maddala, E[X pm(X)] with pm the partial mean has no closed
+    form here.
     """
     G = scaled(F, 1.0 / F.mean())
+    if isinstance(G, LogNormal):
+        return _lognormal_gini_variance(G.sigma)
     parts = _integrated_cdf(G)
     if parts is None:
         return None
@@ -508,6 +518,43 @@ def _gini_variance(F: Distribution) -> Optional[float]:
                             lambda mu, eh: (2.0 * (r - 1.0 + a1) / mu,
                                             2.0 * b / mu),
                             f"gini on {F.descriptor()}")
+
+
+def _lognormal_gini_variance(s: float) -> Optional[float]:
+    """sigma^2 of the Gini on a lognormal of log-scale s, or None where the
+    sum is ill conditioned (s towards 0) or out of the float range. On the
+    unit-mean law X = e^{m + sW}, W standard normal and m = -s^2/2,
+    g(X) = X Phi(W) - Phi(W - s) and R = Phi(-s/sqrt 2), so IF/2 - R is
+
+      Y = (R - 1) X + g(X) = X (R - Phi(-W)) - Phi(W - s),   E Y = -R,
+
+    and sigma^2 = 4 (E Y^2 - R^2). Tilting by X^k turns W into W + k s
+    at the factor E X^k = e^{km + k^2 s^2/2}, and a product of normal cdfs
+    of W + a and W + b into Phi2 at correlation 1/2:
+
+      E[X^k Phi(W + a)] = E X^k Phi((ks + a)/sqrt 2),
+      E[X^k Phi(W + a) Phi(W + b)] = E X^k Phi2((ks + a)/sqrt 2,
+                                                (ks + b)/sqrt 2; 1/2),
+
+    with W -> -W on the Phi(-W) factor, and Phi2(h, k; -1/2) = Phi(h)
+    - Phi2(h, -k; 1/2) on the cross term. Written around R - Phi(-W), which
+    is small where X is large, the terms' magnitudes sum to 24 sigma^2 at
+    s = 1 and to sigma^2 as s grows; as s -> 0 they cancel (6.9e5 sigma^2
+    at s = 0.01), and `_conditioned_sum` declines.
+    """
+    r = 0.5 * math.erfc(0.5 * s)
+    h = -s * _SQRT_HALF
+    try:
+        e_x2 = math.exp(s * s)
+    except OverflowError:
+        return None
+    var_y = _conditioned_sum((
+        # E X^2 (R - Phi(-W))^2
+        e_x2 * r * r, -2.0 * e_x2 * r * _ncdf(2.0 * h),
+        e_x2 * _ncdf2_half(2.0 * h, 2.0 * h),
+        # -2 E[X (R - Phi(-W)) Phi(W - s)], E Phi(W - s)^2 and -(E Y)^2
+        -2.0 * _ncdf2_half(h, 0.0), r, _ncdf2_half(h, h), -r * r))
+    return None if var_y is None else 4.0 * var_y
 
 
 def _qsr_variance(F: Distribution) -> Optional[float]:

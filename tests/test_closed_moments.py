@@ -7,18 +7,18 @@ and against the quantile-form quadrature `_tails_integral` on the unit
 fleet, so the two routes check each other. Outside its domain a form
 declines and the quadrature answers. Through the measures: a
 scale-invariant measure must not move with the income scale, and near
-equality the uniform's log moments stay on the quadrature, which keeps
-their precision.
+equality the uniform's log moments, centred on the mean, keep their
+precision.
 """
 import math
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ineqif import parse_measure_id, scaled
+from ineqif import distributions, parse_measure_id, scaled
 from ineqif.cli import parse_distribution
 from ineqif.errors import MomentDiverges
 
@@ -52,8 +52,6 @@ def _has_closed_form(F, key) -> bool:
         return True
     if name == "expneg":
         return F.kind in ("exponential", "uniform")
-    if name in LOG_KEYS:
-        return F.kind != "uniform"
     return True
 
 
@@ -207,12 +205,77 @@ def test_scale_invariant_measures_do_not_move_with_the_scale(spec, c, mid):
 
 @pytest.mark.parametrize("mid", ["mld", "theil"])
 def test_near_equality_log_measures_keep_their_precision(mid):
-    # both are w^2/(24 mu^2) to leading order on a uniform of width w; a
-    # closed-form E log X would cancel to about 1e-17 here
+    # both are w^2/(24 mu^2) to leading order on a uniform of width w; the
+    # uncentred difference (hi log hi - lo log lo)/w - 1 would cancel to
+    # about 1e-17 here
     F = parse_distribution("uniform:1,1.000000001")
     w = F.hi - F.lo
     exact = w * w / (24.0 * F.mean() ** 2)
     assert parse_measure_id(mid).evaluate(F) == pytest.approx(exact, rel=1e-3)
+
+
+def _uniform_log_truth(lo, hi):
+    """(E log X, E X log X) on uniform:lo,hi at 60 digits, from the
+    antiderivatives x log x - x and x^2 log x/2 - x^2/4 at the float ends:
+    60 digits leave 48 where lo/hi = 1 - 1e-12 cancels 12."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        f0 = lambda x: x * mp.log(x) - x if x > 0 else mp.mpf(0)
+        f1 = lambda x: x * x * mp.log(x) / 2 - x * x / 4 if x > 0 else 0
+        return ((f0(hi) - f0(lo)) / (hi - lo),
+                (f1(hi) - f1(lo)) / (hi - lo))
+
+
+def _centred_uniform(d):
+    """uniform:1-d,1+d; for d a multiple of 2^-52 both ends are exact, the
+    mean is exactly 1 and delta is d."""
+    return f"uniform:{1.0 - d!r},{1.0 + d!r}"
+
+
+# lo/hi from 0 to 1 - 1e-12 at unit mean; delta one step of 2^-52 below, at
+# and above the switch from the series to the closed difference; and lo = 0
+# at any scale, where log(1 - delta) is -inf and its factor (1 - delta)^j 0
+UNIFORM_LOG_SPECS = tuple(
+    _centred_uniform(round((1.0 - r) / (1.0 + r) * 2.0 ** 52) * 2.0 ** -52)
+    for r in (0.0, 1e-12, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+) + tuple(
+    _centred_uniform(distributions._LOG_SERIES_BELOW + side * 2.0 ** -52)
+    for side in (-1, 0, 1)
+) + tuple(f"uniform:0,{hi!r}" for hi in (1e-6, 2.0, 50.0, 1e6))
+
+
+@pytest.mark.parametrize("spec", UNIFORM_LOG_SPECS)
+def test_uniform_log_moments_match_mpmath(spec):
+    F = parse_distribution(spec)
+    e_log, e_xlogx = _uniform_log_truth(F.lo, F.hi)
+    assert abs(F._moment("log") - e_log) <= 1e-13 * abs(e_log)
+    assert abs(F._moment("xlogx") - e_xlogx) <= 1e-13 * abs(e_xlogx)
+
+
+def _log_measures_truth(lo, hi):
+    """Theil, MLD and Champernowne on uniform:lo,hi at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    e_log, e_xlogx = _uniform_log_truth(lo, hi)
+    with mp.workdps(60):
+        mu = (mp.mpf(lo) + mp.mpf(hi)) / 2
+        return {"theil": e_xlogx / mu - mp.log(mu),
+                "mld": mp.log(mu) - e_log,
+                "champernowne": 1 - mp.exp(e_log) / mu}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ratio=st.floats(0.0, 0.99), c=_SCALES)
+# the quadrature of E X log X, at its absolute floor of 1e-10, put Theil
+# 7.0e-9 relative off here
+@example(ratio=0.228, c=1.1e-6)
+def test_log_measures_on_the_uniform_at_any_scale(ratio, c):
+    spec = f"uniform:{ratio * c!r},{c!r}"
+    F = parse_distribution(spec)
+    truth = _log_measures_truth(F.lo, F.hi)
+    for mid, want in truth.items():
+        got = parse_measure_id(mid).evaluate(F)
+        assert abs(got - want) <= 1e-9 * abs(want), (spec, mid, got, want)
 
 
 # levels of t: the QSR's quintiles, the ends, and the exponential's switch

@@ -157,19 +157,22 @@ class TestExpect:
         value = F.expect(lambda x: math.sqrt(x))  # rejects arrays
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
-    def test_log_and_neglog_share_one_integral(self, monkeypatch):
-        # the uniform has no closed E log X: MLD reads it as `neglog`, and
-        # its printed displays as `log`
+    def test_log_and_neglog_share_one_moment(self, monkeypatch):
+        # MLD reads E log X as `neglog`, and its printed displays as `log`:
+        # the uniform computes it once, in closed form
         calls = []
-        integrate = distributions.integrate
-        monkeypatch.setattr(distributions, "integrate",
-                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        closed_form = distributions.Uniform._closed_form
+        monkeypatch.setattr(distributions, "integrate", None)  # not called
+        monkeypatch.setattr(
+            distributions.Uniform, "_closed_form",
+            lambda self, name, c: calls.append(name) or closed_form(
+                self, name, c))
         F = make_distribution("uniform", 0.0, 1.0)
         T = parse_measure_id("mld")
         T.evaluate(F)
         for v in printed_variants(T):
             v.evaluate(F, 2.0, T.spec)
-        assert len(calls) == 1
+        assert calls == ["log"]
         assert F.expect(lambda x: -np.log(x), key="neglog") == \
             -F.expect(np.log, key="log")
 

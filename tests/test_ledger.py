@@ -17,9 +17,12 @@ declared h1'/h1, the IF as A (z - mu) + B (h(z) - m) with A and B formed
 as the code forms them, sigma^2 as a quadratic form in five moments, and
 each closed log-power moment as a c-derivative of its kind's E X^c. So are
 the Gini's and the QSR's closed routes: the Gini's IF as A z + B h(z) +
-const on the exponential, Pareto and uniform laws, the QSR's IF as a
-constant plus two ramps on each of its three pieces, and the QSR's
-sigma^2 as the terms the code sums.
+const on the exponential, Pareto and uniform laws, the two Gaussian
+identities its lognormal sigma^2 reduces to (by mpmath quadrature), the
+QSR's IF as a constant plus two ramps on each of its three pieces, and the
+QSR's sigma^2 as the terms the code sums. The uniform's centred log
+moments are checked as closed differences that expand to the series the
+code sums near equality.
 """
 import re
 
@@ -37,6 +40,7 @@ from ineqif.influence import (
 from ineqif.measures import make_spec, qsr_components
 
 sympy = pytest.importorskip("sympy")
+mp = pytest.importorskip("mpmath")
 
 z, mu, m = sympy.symbols("z mu m", positive=True)
 a = sympy.Symbol("a", real=True)
@@ -338,3 +342,57 @@ def test_qsr_variance_is_the_sum_of_its_terms():
              sympy.Rational(16, 100) * q4 * q4,
              sympy.Rational(8, 100) * r * q1 * q4)
     assert _is_zero(sigma2 - sum(terms) / D ** 2)
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian identities of the lognormal Gini's sigma^2, and the uniform's
+# centred log moments
+# ---------------------------------------------------------------------------
+
+def _bvn_half(h, k):
+    """Phi2(h, k; 1/2) in mpmath, integrating out the first variate."""
+    cond = lambda x: mp.npdf(x) * mp.ncdf((k - x / 2) / mp.sqrt(0.75))
+    return mp.quad(cond, [-mp.inf, min(h, 0), h] if h > 0 else [-mp.inf, h])
+
+
+# (k, s, a, b): a power of X = e^{m + sW}, its log-scale and two shifts
+GAUSSIAN_POINTS = ((0, 0.7, -0.7, -0.7), (1, 1.3, 0.0, -1.3),
+                   (2, 0.4, 0.9, -0.2))
+
+
+@pytest.mark.parametrize("k,s_,a_,b_", GAUSSIAN_POINTS)
+def test_lognormal_gini_gaussian_identities(k, s_, a_, b_):
+    # E[X^k Phi(W + a)] = E X^k Phi((ks + a)/sqrt 2) and
+    # E[X^k Phi(W + a) Phi(W + b)] = E X^k Phi2((ks + a)/sqrt 2,
+    # (ks + b)/sqrt 2; 1/2) on the unit-mean law, m = -s^2/2, by quadrature
+    # over W
+    with mp.workdps(30):
+        s_, a_, b_ = mp.mpf(s_), mp.mpf(a_), mp.mpf(b_)
+        m_ = -s_ ** 2 / 2
+        power = mp.exp(k * m_ + k * k * s_ ** 2 / 2)  # E X^k
+        weight = lambda w: mp.exp(k * (m_ + s_ * w)) * mp.npdf(w)
+        cuts = [-mp.inf, -abs(a_) - 1, 0, k * s_ + 1, mp.inf]
+        one = mp.quad(lambda w: weight(w) * mp.ncdf(w + a_), cuts)
+        two = mp.quad(lambda w: weight(w) * mp.ncdf(w + a_)
+                      * mp.ncdf(w + b_), cuts)
+        h, kk = (k * s_ + a_) / mp.sqrt(2), (k * s_ + b_) / mp.sqrt(2)
+        assert abs(one / (power * mp.ncdf(h)) - 1) < mp.mpf(10) ** -25
+        assert abs(two / (power * _bvn_half(h, kk)) - 1) < mp.mpf(10) ** -25
+
+
+def test_uniform_log_offsets_expand_to_their_series():
+    # the closed differences of `distributions._uniform_log_offset` in
+    # delta = (hi - lo)/(hi + lo), against the even series it sums below
+    # its switch
+    d = sympy.Symbol("delta", positive=True)
+    c0 = ((1 + d) * log(1 + d) - (1 - d) * log(1 - d)) / (2 * d) - 1
+    c1 = ((1 + d) ** 2 * log(1 + d) - (1 - d) ** 2 * log(1 - d)) / (4 * d) \
+        - sympy.Rational(1, 2)
+    order = 16
+    series0 = -sum(d ** (2 * j) / (2 * j * (2 * j + 1))
+                   for j in range(1, order // 2))
+    series1 = sum(d ** (2 * j) / (2 * j * (2 * j - 1) * (2 * j + 1))
+                  for j in range(1, order // 2))
+    for closed, series in ((c0, series0), (c1, series1)):
+        expanded = sympy.series(closed, d, 0, order).removeO()
+        assert _is_zero(expanded - series)

@@ -3,9 +3,11 @@
 The moment route of the quadruple family (`influence._moment_variance`)
 and the Gini's on the exponential, Pareto and uniform laws
 (`influence._gini_variance`) read sigma^2 as a quadratic form in E X^2,
-E h(X)^2 and E X h(X); the QSR's (`influence._qsr_variance`) reads it from
-the stop-loss moments of its piecewise-affine IF. Here they are checked
-against two truths that share no code with them:
+E h(X)^2 and E X h(X); the Gini's on the lognormal sums normal and
+bivariate normal cdfs (`influence._lognormal_gini_variance`); the QSR's
+(`influence._qsr_variance`) reads it from the stop-loss moments of its
+piecewise-affine IF. Here they are checked against truths that share no
+code with them:
 - 30-digit mpmath, over Pareto and Singh-Maddala tails up to the moment
   boundaries. The truth takes each log-power moment as a numerical
   c-derivative (`mp.diff`) of the kind's power moment E X^c, and the IF's
@@ -17,7 +19,9 @@ against two truths that share no code with them:
   incomplete gamma function, the normal cdf, the regularized incomplete
   beta function and powers for the others): E IF^2 summed over the powers
   of z in each piece of the IF, as the IF is displayed, never through a
-  quadrature;
+  quadrature; on the lognormal, the Gini's E IF^2 by 30-digit quadrature
+  over the normal variate, and Phi2 at correlation 1/2 by integrating out
+  one variate;
 - the IF^2 quadrature (`influence._quadrature_variance`) on the unit
   fleet and over the benchmark's seeded shapes.
 """
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqif import influence, parse_measure_id
+from ineqif import distributions, influence, parse_measure_id
 from ineqif.cli import parse_distribution
 from ineqif.errors import MomentDiverges
 # the benchmark's seeded shapes at scales 1e-6 to 1e6
@@ -183,7 +187,7 @@ def test_the_route_reads_no_quadrature(monkeypatch):
                  "sm:2,1,3", "uniform:0,1"):
         F = parse_distribution(spec)
         mids = ["ge:2", "theil", "mld", "atkinson:0.5", "champernowne", "qsr"]
-        if F.kind in ("exponential", "pareto", "uniform"):
+        if F.kind != "singh_maddala":
             mids.append("gini")
         for mid in mids:
             assert influence.asymptotic_variance(parse_measure_id(mid), F) > 0
@@ -339,6 +343,76 @@ def test_the_exponential_gini_variance_is_one_twelfth():
             1.0 / 12.0, rel=1e-14)
 
 
+def lognormal_gini_truth(m, sigma):
+    """The Gini's sigma^2 on lognormal:m,sigma at 30 digits: E IF^2 by
+    quadrature over the normal variate W of X = e^{m + sigma W}, with the
+    IF 2 [R + z (R - 1)/mu + (z F(z) - E[X 1{X <= z}])/mu] as displayed
+    and R = 1 - (1 + G)/2, G = 2 Phi(sigma/sqrt 2) - 1."""
+    with mp.workdps(30):
+        m, sigma = mp.mpf(m), mp.mpf(sigma)
+        mean = mp.exp(m + sigma ** 2 / 2)
+        r = 1 - mp.ncdf(sigma / mp.sqrt(2))
+
+        def if_squared(w):
+            z = mp.exp(m + sigma * w)
+            g = z * mp.ncdf(w) - mean * mp.ncdf(w - sigma)
+            return (2 * (r + z * (r - 1) / mean + g / mean)) ** 2 * mp.npdf(w)
+
+        return mp.quad(if_squared, [-mp.inf, -sigma, 0, sigma, 2 * sigma,
+                                    mp.inf])
+
+
+# sigma from 0.05 to 4, at means from 5e-4 to dollars
+LOGNORMAL_GINI = ((0.05, 0.0), (0.1, -7.65), (0.25, 10.7), (0.5, 0.0),
+                  (1.0, 10.7), (1.5, -7.65), (2.0, 0.0), (3.0, 10.7),
+                  (4.0, 0.0))
+
+
+@pytest.mark.parametrize("sigma,m", LOGNORMAL_GINI)
+def test_lognormal_gini_route_matches_mpmath(sigma, m):
+    F = parse_distribution(f"lognormal:{m!r},{sigma!r}")
+    truth = float(lognormal_gini_truth(m, sigma))
+    sigma2 = influence._gini_variance(F)
+    assert sigma2 is not None  # well conditioned from sigma = 0.05 on
+    assert sigma2 == pytest.approx(truth, rel=1e-10)
+    assert influence.asymptotic_variance(parse_measure_id("gini"), F) == \
+        sigma2
+
+
+def test_lognormal_gini_near_equality_takes_the_quadrature():
+    # the terms cancel as sigma -> 0: Sum |terms|/sigma^2 is 6.9e5 here
+    F = parse_distribution("lognormal:0,0.01")
+    T = parse_measure_id("gini")
+    assert influence._gini_variance(F) is None
+    sigma2 = influence.asymptotic_variance(T, F)
+    assert sigma2 == influence._quadrature_variance(T, F)
+    assert sigma2 == pytest.approx(float(lognormal_gini_truth(0, 0.01)),
+                                   rel=1e-9)
+
+
+def _ncdf2_half_truth(h, k):
+    """Phi2(h, k; 1/2) at 20 digits, integrating out the first variate:
+    the integral to h of phi(x) Phi((k - x/2)/sqrt(3/4)). Below
+    min(h, 0) - 12 the integrand is under 1e-33 of Phi2, which is over
+    1e-15 on [-6, 6]^2."""
+    with mp.workdps(20):
+        h, k = mp.mpf(h), mp.mpf(k)
+        cond = lambda x: mp.npdf(x) * mp.ncdf((k - x / 2) / mp.sqrt(0.75))
+        low = min(h, 0)
+        return mp.quad(cond, [low - 12, low - 6, low, h] if h > 0
+                       else [low - 12, low - 6, h])
+
+
+def test_ncdf2_half_matches_mpmath():
+    grid = [1.5 * i for i in range(-4, 5)]  # -6 to 6
+    for i, h in enumerate(grid):
+        for k in grid[i:]:
+            want = _ncdf2_half_truth(h, k)
+            got = distributions._ncdf2_half(h, k)
+            assert abs(got - want) <= 1e-14 * want, (h, k)
+            assert distributions._ncdf2_half(k, h) == got  # symmetric
+
+
 # E X^2 is infinite; the Singh-Maddala Gini takes the quadrature
 @pytest.mark.parametrize("mid,spec", [
     ("gini", "pareto:2,1"), ("gini", "pareto:1.5,3"), ("qsr", "pareto:2,1"),
@@ -374,7 +448,7 @@ def test_closed_gini_and_qsr_routes_match_the_quadrature(spec, mid):
     T = parse_measure_id(mid)
     sigma2 = (influence._gini_variance if mid == "gini"
               else influence._qsr_variance)(F)
-    if mid == "gini" and F.kind in ("lognormal", "singh_maddala"):
+    if mid == "gini" and F.kind == "singh_maddala":
         assert sigma2 is None
         return
     assert sigma2 is not None  # well conditioned on every seeded shape
