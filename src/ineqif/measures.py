@@ -73,6 +73,10 @@ def _exp(s):
     return np.exp(s) if isinstance(s, np.ndarray) else math.exp(s)
 
 
+def _expm1(s):
+    return np.expm1(s) if isinstance(s, np.ndarray) else math.expm1(s)
+
+
 def _log(s):
     return np.log(s) if isinstance(s, np.ndarray) else math.log(s)
 
@@ -197,7 +201,8 @@ def make_spec(family: str, param: Optional[float] = None) -> TheilLikeSpec:
 
     if family == "champernowne":
         return _member("champernowne", "champernowne", None,
-                       (lambda s: 1.0 - _exp(s), lambda s: -_exp(s)),
+                       # -expm1 keeps the digits of a tiny s (near equality)
+                       (lambda s: -_expm1(s), lambda s: -_exp(s)),
                        _LOG[0], _ONE, _ONE_RATIO, _LOG, True, "log")
 
     if family == "kolm":

@@ -8,8 +8,13 @@ calls `derivative_at_zero_plus` either (the Gateaux oracle takes the
 complex step), but it is public and the tracer patches it too.
 
 Quadrature cost is mostly a fixed price per integrand call, not per node,
-so `integrate` makes one call per panel split: it evaluates both halves of
-the split panel on 30 nodes at once.
+so `integrate` evaluates panels before its adaptive loop asks for them:
+the first call covers the interval and its bisection tree three levels
+down (15 panels, 225 nodes), and a split whose halves are not yet known
+evaluates that panel's tree two levels down (6 panels, 90 nodes). Each
+panel's sums do not depend on which panels share its call, so the loop
+takes the same panels in the same order and returns the same float as
+one call per panel would.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +43,12 @@ __all__ = [
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 2000
+
+# Levels of the bisection tree evaluated ahead of the loop: below the
+# whole interval on the first integrand call, and below a split panel
+# whose halves are not yet known.
+_FIRST_DEPTH = 3
+_MISS_DEPTH = 2
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (QUADPACK dqk15).
 _XGK = np.array([
@@ -94,44 +106,60 @@ def _make_evaluator(g: Callable[[float], float]):
     return evaluate
 
 
-def _gk15(evaluate, edges: Sequence[float]) -> list:
-    """Gauss-Kronrod panels between consecutive edges, all from one
-    integrand call: returns [(integral, error_estimate), ...] as floats.
+def _gk15(evaluate, panels: Sequence[tuple]) -> dict:
+    """Gauss-Kronrod sums of the panels (a, b), all from one integrand
+    call: returns {(a, b): (integral, error_estimate)} as floats.
 
     Must run under np.errstate(all="ignore"): non-finite values are the
     caller's to report.
     """
-    panels = list(zip(edges[:-1], edges[1:]))
-    n = len(panels)
-    halves = [0.5 * (b - a) for a, b in panels]
-    fx = evaluate(np.concatenate(
-        [0.5 * (a + b) + h * _NODES for (a, b), h in zip(panels, halves)]
-    )).reshape(n, 1, 15)
-    sums = (fx[:, None] @ _RULES).ravel().tolist()  # Kronrod, Gauss per panel
-    resk = [h * s for h, s in zip(halves, sums[::2])]
-    resg = [h * s for h, s in zip(halves, sums[1::2])]
-    means = np.array([rk / (b - a) for rk, (a, b) in zip(resk, panels)])
+    count = len(panels)
+    ends = np.fromiter(chain.from_iterable(panels), float, 2 * count)
+    a, b = ends[0::2, None], ends[1::2, None]  # (count, 1) columns
+    width = b - a
+    half = 0.5 * width
+    fx = evaluate((0.5 * (a + b) + half * _NODES).ravel()).reshape(count, 1, 15)
+    sums = (fx[:, None] @ _RULES).reshape(count, 2) * half  # Kronrod, Gauss
     # Weighted |f - mean| of each panel (resasc), then weighted |f| (resabs).
-    spread = (np.abs(np.concatenate((fx - means[:, None, None], fx)))
-              @ _KRONROD).ravel().tolist()
-    out = []
-    for h, rk, rg, sasc, sabs in zip(halves, resk, resg, spread[:n], spread[n:]):
-        err = abs(rk - rg)
-        # QUADPACK-style rescaling guards against underestimating the error
-        # on panels containing integrable singularities.
-        resasc = h * sasc
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        out.append((rk, max(err, 50.0 * _EPS * (h * sabs))))
-    return out
+    spread = np.abs(np.concatenate((fx - (sums[:, :1] / width)[:, None], fx)))
+    resasc, resabs = (spread @ _KRONROD).reshape(2, count) * half.T
+    resk, resg = sums.T
+    err = np.abs(resk - resg)
+    # QUADPACK-style rescaling guards against underestimating the error
+    # on panels containing integrable singularities. The power is the C
+    # library's, through Python floats: numpy's vectorised power may round
+    # differently. fmin and maximum pick as min(1.0, .) and max(err, .) do
+    # on every panel whose integral is finite.
+    power = np.fromiter(map(pow, (200.0 * err / resasc).tolist(), repeat(1.5)),
+                        float, count)
+    err = np.where((resasc != 0.0) & (err != 0.0),
+                   resasc * np.fmin(power, 1.0), err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return dict(zip(panels, zip(resk.tolist(), err.tolist())))
+
+
+def _bisection_tree(a: float, b: float, depth: int) -> list:
+    """(a, b) and its halves, their halves and so on, `depth` levels down,
+    with the loop's midpoints; a panel whose midpoint does not fall
+    strictly inside it has no halves."""
+    tree = level = [(a, b)]
+    for _ in range(depth):
+        level = [half for pa, pb in level if pa < (mid := 0.5 * (pa + pb)) < pb
+                 for half in ((pa, mid), (mid, pb))]
+        tree = tree + level
+    return tree
 
 
 def integrate(g: Callable[[float], float], a: float, b: float) -> float:
     """Integrate g over the finite interval (a, b), to the module's one
     error target.
 
-    Each step splits the panel with the largest error estimate in two, and
-    one integrand call on 30 nodes evaluates both halves.
+    Each step splits the panel with the largest error estimate in two.
+    The halves are mostly known before the step asks for them: panels
+    are evaluated a few bisection levels ahead, several per integrand
+    call, so g may also be evaluated at nodes the adaptive loop never
+    uses. Only the panels the loop takes count towards the result, its
+    error bound and its errors.
 
     Raises NonConvergence (carrying the best estimate and its error bound)
     when the subdivision budget is exhausted, and InvalidInterval unless
@@ -146,8 +174,10 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _adapt(evaluate, lo: float, hi: float) -> float:
-    """Worst-panel-first bisection of [lo, hi] (QUADPACK's QAG scheme)."""
-    [(value, err)] = _gk15(evaluate, (lo, hi))
+    """Worst-panel-first bisection of [lo, hi] (QUADPACK's QAG scheme),
+    reading each panel from `known`, the panels evaluated ahead."""
+    known = _gk15(evaluate, _bisection_tree(lo, hi, _FIRST_DEPTH))
+    value, err = known.pop((lo, hi))
     if not math.isfinite(value):
         raise NonConvergence("non-finite integrand values", value, math.inf)
 
@@ -173,7 +203,10 @@ def _adapt(evaluate, lo: float, hi: float) -> float:
                 total_value,
                 total_err,
             )
-        (v1, e1), (v2, e2) = _gk15(evaluate, (pa, mid, pb))
+        if (pa, mid) not in known:
+            known.update(_gk15(evaluate, _bisection_tree(pa, pb, _MISS_DEPTH)[1:]))
+        v1, e1 = known.pop((pa, mid))
+        v2, e2 = known.pop((mid, pb))
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise NonConvergence("non-finite integrand values", total_value, math.inf)
         total_value += (v1 + v2) - pval

@@ -11,6 +11,7 @@ from ineqif import (
     SinghMaddala,
     Uniform,
     make_distribution,
+    numeric,
 )
 
 FLEET_SPECS = ("exp:1", "uniform:0,1", "pareto:3,1", "lognormal:0,0.5")
@@ -83,3 +84,36 @@ def density_expect():
     """x-space expectations of parametric models, independent of ineqif's
     quadrature layer."""
     return _density_expect
+
+
+class IntegrandCalls:
+    """Calls that `integrate` makes to its integrand, and the nodes they
+    carry. `wrap` takes `numeric._make_evaluator` and returns it spied;
+    other users of `_make_evaluator` bind it at import and are not
+    counted."""
+
+    def __init__(self):
+        self.calls = 0
+        self.nodes = 0
+
+    def wrap(self, make_evaluator):
+        def spied(g):
+            evaluate = make_evaluator(g)
+
+            def counted(xs):
+                self.calls += 1
+                self.nodes += int(np.size(xs))
+                return evaluate(xs)
+
+            return counted
+
+        return spied
+
+
+@pytest.fixture
+def count_integrand_calls(monkeypatch):
+    """An IntegrandCalls counting every `integrate` of the test."""
+    counts = IntegrandCalls()
+    monkeypatch.setattr(numeric, "_make_evaluator",
+                        counts.wrap(numeric._make_evaluator))
+    return counts

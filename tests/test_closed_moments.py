@@ -264,6 +264,15 @@ def _log_measures_truth(lo, hi):
                 "champernowne": 1 - mp.exp(e_log) / mu}
 
 
+def test_near_equality_champernowne_matches_mpmath():
+    # 1 - exp(s) read 0.0 here: s = E log X - log mu is -4.2e-20. The
+    # rounding of log mu leaves about 8e-7 relative.
+    F = parse_distribution("uniform:1,1.000000001")
+    want = _log_measures_truth(F.lo, F.hi)["champernowne"]
+    got = parse_measure_id("champernowne").evaluate(F)
+    assert abs(got - want) <= 1e-6 * abs(want), (got, want)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ratio=st.floats(0.0, 0.99), c=_SCALES)
 # the quadrature of E X log X, at its absolute floor of 1e-10, put Theil

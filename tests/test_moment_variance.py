@@ -193,6 +193,19 @@ def test_the_route_reads_no_quadrature(monkeypatch):
             assert influence.asymptotic_variance(parse_measure_id(mid), F) > 0
 
 
+@pytest.mark.parametrize("mid,spec,most", [
+    ("kolm:1", "pareto:3.33804,0.699795", 4),
+    ("kolm:1", "sm:2,1000,3", 4),
+    ("gini", "sm:2,84900,3", 1)])
+def test_quadrature_variances_take_few_integrand_calls(
+        count_integrand_calls, mid, spec, most):
+    # one integrand call evaluated one panel, then two per split: 13, 12
+    # and 4 calls here; panels evaluated ahead of the loop leave 3, 3, 1
+    T, F = parse_measure_id(mid), parse_distribution(spec)
+    assert influence.asymptotic_variance(T, F) > 0
+    assert 0 < count_integrand_calls.calls <= most
+
+
 # ---------------------------------------------------------------------------
 # The Gini and the QSR
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -91,7 +91,8 @@ class TestIntegrate:
 
 
 # The adaptive loop as it was with one Gauss-Kronrod panel per integrand
-# call. The paired-panel `integrate` must follow the same panel sequence.
+# call. `integrate`, which evaluates panels ahead of its loop, must follow
+# the same panel sequence.
 _REF_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _REF_WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _REF_GAUSS_IDX = np.arange(1, 15, 2)
@@ -162,6 +163,13 @@ def _recording(g):
     return recorded, sizes
 
 
+def _nan_at_one_kronrod_node(a, b):
+    """The constant 1, except NaN at the first Kronrod node of the panel
+    (a, b), as `integrate` places it."""
+    node = 0.5 * (a + b) + 0.5 * (b - a) * _REF_NODES[0]
+    return lambda x: np.where(np.asarray(x) == node, np.nan, 1.0)
+
+
 def _moment(law, h):
     return lambda x: h(x) * law.pdf(x)
 
@@ -181,20 +189,33 @@ _MOMENT_CASES = [
 
 
 class TestPairedPanels:
-    """integrate evaluates both halves of a split panel in one call and
-    must otherwise match the one-panel-per-call loop."""
+    """integrate evaluates panels ahead of its adaptive loop, several per
+    call, and must otherwise match the one-panel-per-call loop bit for
+    bit."""
 
     @pytest.mark.parametrize("g, a, b", _MOMENT_CASES)
     def test_matches_one_panel_reference(self, g, a, b):
-        ref_g, ref_sizes = _recording(g)
-        ref_value, splits = _reference_integrate(ref_g, a, b)
+        ref_value, splits = _reference_integrate(g, a, b)
         new_g, new_sizes = _recording(g)
         value = integrate(new_g, a, b)
         assert type(value) is float
-        assert sum(new_sizes) == sum(ref_sizes)
-        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
-        # one call for the first panel, then one call per split
-        assert new_sizes == [15] + [30] * splits
+        assert value == ref_value
+        # the interval's bisection tree 3 levels down on the first call,
+        # then a split panel's tree 2 levels down on each split that
+        # finds its halves missing
+        assert new_sizes == [225] + [90] * (len(new_sizes) - 1)
+        assert len(new_sizes) <= 1 + splits
+
+    @pytest.mark.parametrize("g, a, b", _MOMENT_CASES)
+    def test_each_panel_matches_one_panel_reference(self, g, a, b):
+        # integral and error estimate of every panel of a 31-panel call,
+        # as one call per panel computes them
+        evaluate = _make_evaluator(g)
+        panels = numeric._bisection_tree(a, b, 4)
+        with np.errstate(all="ignore"):
+            batch = numeric._gk15(evaluate, panels)
+        for panel in panels:
+            assert batch[panel] == _reference_gk15(evaluate, *panel)
 
     def test_budget_exhaustion_matches_reference(self, monkeypatch):
         g = lambda x: 1.0 / x
@@ -224,12 +245,59 @@ class TestPairedPanels:
         with pytest.raises(InvalidInterval):
             integrate(lambda x: x, a, b)
 
+    def test_unused_non_finite_panel_raises_nothing(self):
+        # evaluated ahead on the first call, never reached by the loop:
+        # a constant converges on the whole interval (to b - a, up to
+        # the rounding of the 15-digit weights)
+        g = _nan_at_one_kronrod_node(0.0, 0.125)
+        ref_value, splits = _reference_integrate(g, 0.0, 1.0)
+        assert splits == 0
+        assert integrate(g, 0.0, 1.0) == ref_value == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_used_non_finite_panel_raises_at_the_reference_split(
+            self, monkeypatch, budget):
+        # with no error target the loop splits the constant widest panel
+        # first, and reaches [0, 1/8] on its 4th split
+        g = _nan_at_one_kronrod_node(0.0, 0.125)
+        monkeypatch.setattr(numeric, "_ABS_TOL", 0.0)
+        monkeypatch.setattr(numeric, "_REL_TOL", 0.0)
+        monkeypatch.setattr(numeric, "_MAX_SUBDIVISIONS", budget)
+        with pytest.raises(NonConvergence) as ref:
+            _reference_integrate(g, 0.0, 1.0)
+        with pytest.raises(NonConvergence) as new:
+            integrate(g, 0.0, 1.0)
+        non_finite = "non-finite integrand values"
+        assert (non_finite in str(ref.value)) == (budget == 4)
+        assert (non_finite in str(new.value)) == (budget == 4)
+        assert new.value.estimate == ref.value.estimate
+        assert new.value.error_bound == ref.value.error_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=st.floats(0.0, 4.0), lam=st.floats(0.0, 20.0),
+           s=st.floats(0.0, 0.9), b=st.floats(0.01, 50.0),
+           budget=st.sampled_from([numeric._MAX_SUBDIVISIONS, 6]))
+    @example(c=0.0, lam=0.0, s=0.9, b=1.0, budget=6)  # exhausts the budget
+    def test_power_exponential_matches_reference(self, c, lam, s, b, budget):
+        g = lambda x: x ** c * np.exp(-lam * x) * x ** -s
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_MAX_SUBDIVISIONS", budget)
+            try:
+                ref_value, _ = _reference_integrate(g, 0.0, b)
+            except NonConvergence as exc:
+                with pytest.raises(NonConvergence) as excinfo:
+                    integrate(g, 0.0, b)
+                assert excinfo.value.estimate == exc.estimate
+                assert excinfo.value.error_bound == exc.error_bound
+                return
+            assert integrate(g, 0.0, b) == ref_value
+
     def test_scalar_only_integrand(self):
         g = lambda x: math.exp(-x) * math.sqrt(x)
         value = integrate(g, 0.0, 4.0)
         ref_value, _ = _reference_integrate(g, 0.0, 4.0)
         assert type(value) is float
-        assert value == pytest.approx(ref_value, rel=1e-13)
+        assert value == ref_value
         assert value == pytest.approx(
             math.gamma(1.5) * math.erf(2.0) - 2.0 * math.exp(-4.0), rel=1e-9)
 
